@@ -128,10 +128,9 @@ def scaling_degree_estimate(d, direction, lam_min=4.0, lam_max=4096.0, samples=1
     """
     if samples < 8:
         raise ValueError("need at least 8 samples along the ray")
-    f = d if callable(d) and not isinstance(d, CausalDistribution) else d
     direction = np.asarray(direction, dtype=float)
     lams = np.geomspace(lam_min, lam_max, samples)
-    vals = np.array([abs(complex(f(lam * direction))) for lam in lams])
+    vals = np.array([abs(complex(d(lam * direction))) for lam in lams])
     if np.any(vals <= 0):
         raise ArithmeticError("distribution vanished along the ray; no exponent")
     x = np.log(lams)

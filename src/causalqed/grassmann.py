@@ -1,10 +1,10 @@
-"""Parity signs for reorderings of variable lists with Bose/Fermi grading.
+"""The fermionic sign rule for reorderings of Bose/Fermi-graded lists.
 
 Reordering a list of graded variables picks up (-1)**k, where k is the
 number of inversions among the fermionic (grade-1) entries; bosonic
-entries never contribute.  This is the sign bookkeeping needed when an
-ordered variable set is partitioned into blocks and the blocks are read
-off in sequence.
+entries never contribute.  `inversion_sign` is that rule on positions;
+the partition sums of the induction and the normal ordering and
+contraction signs of the Wick calculus all go through it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ FERMI = 1
 
 
 class PartitionError(ValueError):
-    """Blocks do not form a permutation of the source list."""
+    """A reordering whose source list repeats a variable."""
 
 
 @dataclass(frozen=True)
@@ -30,55 +30,23 @@ class GradedVar:
             raise ValueError(f"grade must be 0 or 1, got {self.grade!r}")
 
 
-@dataclass(frozen=True)
-class Partition:
-    source: tuple
-    blocks: tuple  # tuple of tuples of GradedVar
+def inversion_sign(positions: Sequence) -> int:
+    """(-1)**(number of pairs i < j with positions[i] > positions[j]).
 
-    def __init__(self, source: Sequence[GradedVar], blocks: Sequence[Sequence[GradedVar]]):
-        object.__setattr__(self, "source", tuple(source))
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in blocks))
-
-    def concatenated(self) -> tuple:
-        return tuple(v for block in self.blocks for v in block)
-
-    def validate(self):
-        ids = [v.id for v in self.source]
-        if len(set(ids)) != len(ids):
-            raise PartitionError(f"duplicate ids in source: {ids}")
-        flat = self.concatenated()
-        if sorted(v.id for v in flat) != sorted(ids):
-            raise PartitionError("blocks are not a permutation of the source")
-        by_id = {v.id: v for v in self.source}
-        for v in flat:
-            if by_id[v.id].grade != v.grade:
-                raise PartitionError(f"grade mismatch for variable {v.id!r}")
-
-
-def reorder_sign(source: Sequence[GradedVar], target: Sequence[GradedVar]) -> int:
-    """Sign of the reordering source -> target.
-
-    Counts inversions among fermionic variables only: the sign is
-    (-1)**(number of fermi pairs whose relative order flips).
+    `positions` lists where each fermionic entry of the target order
+    stood in the source order.
     """
-    pos = {v.id: i for i, v in enumerate(source)}
-    if len(pos) != len(source):
-        raise PartitionError("duplicate ids in source")
-    fermi_seq = [pos[v.id] for v in target if v.grade == FERMI]
-    inv = _count_inversions(fermi_seq)
+    inv = 0
+    for i, p in enumerate(positions):
+        for q in positions[i + 1:]:
+            if p > q:
+                inv += 1
     return -1 if inv % 2 else 1
 
 
-def parity_sign(partition: Partition) -> int:
-    """Sign s(X, Y, ...) picked up when reading the blocks in order."""
-    partition.validate()
-    return reorder_sign(partition.source, partition.concatenated())
-
-
-def _count_inversions(seq):
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv
+def reorder_sign(source: Sequence[GradedVar], target: Sequence[GradedVar]) -> int:
+    """Sign of the reordering source -> target."""
+    pos = {v.id: i for i, v in enumerate(source)}
+    if len(pos) != len(source):
+        raise PartitionError("duplicate ids in source")
+    return inversion_sign([pos[v.id] for v in target if v.grade == FERMI])

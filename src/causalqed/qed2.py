@@ -142,7 +142,7 @@ def _dispersion(rho, thr: float, z, n_sub: int, s0: float = 0.0):
                                  limit=300, epsabs=1e-12, epsrel=1e-11)
         right, _ = integrate.quad(lambda sp: kernel(sp, x).real, x + h, np.inf,
                                   limit=300, epsabs=1e-12, epsrel=1e-11)
-        val = (-pv + left + right) + 1j * math.pi * rho(x) / (x - s0) ** n_sub
+        val = (pv + left + right) + 1j * math.pi * rho(x) / (x - s0) ** n_sub
 
     out = (z - s0) ** n_sub / math.pi * val
     if z.imag == 0.0 and z.real < thr:
@@ -300,7 +300,7 @@ def check_on_shell(obj, tol: float = 1e-8) -> dict:
         r1 = abs(obj.scalar_part(0.0))
         conds.append({"name": "Pi(0) = 0", "residual": float(r1), "pass": r1 <= tol})
         # two-level Richardson extrapolation of Pi(s)/s toward s = 0
-        h = -0.01 * max(obj.threshold, 1.0)
+        h = -0.005 * obj.threshold
         r = [obj.scalar_part(h / 2 ** k) / (h / 2 ** k) for k in range(3)]
         r1a = 2.0 * r[1] - r[0]
         r1b = 2.0 * r[2] - r[1]

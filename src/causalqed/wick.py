@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .grassmann import FERMI
+from .grassmann import FERMI, inversion_sign
 
 CREATION = "cre"
 ANNIHILATION = "ann"
@@ -86,20 +86,14 @@ def _normal_order(legs):
     """Stable-sort legs into canonical order; return (sign, tuple) or None.
 
     Returns None when two identical fermionic legs collide (the monomial
-    vanishes).  The sign counts fermi-fermi inversions of the reordering.
+    vanishes).  The sign is the fermionic sign of the reordering.
     """
-    indexed = sorted(range(len(legs)), key=lambda i: (legs[i].sort_key(), i))
-    ordered = [legs[i] for i in indexed]
-    fermi_positions = [indexed[k] for k in range(len(ordered)) if ordered[k].grade == FERMI]
-    inv = 0
-    for i in range(len(fermi_positions)):
-        for j in range(i + 1, len(fermi_positions)):
-            if fermi_positions[i] > fermi_positions[j]:
-                inv += 1
+    indexed = sorted(range(len(legs)), key=lambda i: legs[i].sort_key())
+    ordered = tuple(legs[i] for i in indexed)
     for a, b in zip(ordered, ordered[1:]):
         if a == b and a.grade == FERMI:
             return None
-    return (-1 if inv % 2 else 1), tuple(ordered)
+    return inversion_sign([i for i in indexed if legs[i].grade == FERMI]), ordered
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,12 @@ class WickMonomial:
 
 
 class WickPolynomial:
-    """Finite sum of normal-ordered monomials, merged on construction."""
+    """Finite sum of normal-ordered monomials, merged on construction.
+
+    `_terms` maps (sorted factors, normal-ordered legs) to a nonzero
+    coefficient.  Sums, scalings and filters of polynomials keep that
+    form, so they merge or filter `_terms` without normal-ordering again.
+    """
 
     def __init__(self, monomials=()):
         table = {}
@@ -130,6 +129,13 @@ class WickPolynomial:
             table[key] = table.get(key, 0) + sign * coeff
         self._terms = {k: v for k, v in table.items() if v != 0}
 
+    @classmethod
+    def _canonical(cls, items):
+        """Polynomial from (key, coeff) pairs with distinct canonical keys."""
+        poly = cls.__new__(cls)
+        poly._terms = {k: c for k, c in items if c != 0}
+        return poly
+
     @property
     def terms(self):
         return [WickMonomial(c, f, l) for (f, l), c in sorted(
@@ -142,13 +148,16 @@ class WickPolynomial:
         return isinstance(other, WickPolynomial) and self._terms == other._terms
 
     def __add__(self, other):
-        return WickPolynomial(self.terms + other.terms)
+        merged = dict(self._terms)
+        for key, c in other._terms.items():
+            merged[key] = merged.get(key, 0) + c
+        return WickPolynomial._canonical(merged.items())
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, z):
-        return WickPolynomial([WickMonomial(z * m.coeff, m.factors, m.legs) for m in self.terms])
+        return WickPolynomial._canonical((k, z * c) for k, c in self._terms.items())
 
     def is_zero(self):
         return not self._terms
@@ -161,8 +170,7 @@ class WickPolynomial:
         if scale is None:
             scale = self.max_abs_coeff()
         cut = rel_tol * scale
-        return WickPolynomial(
-            [m for m in self.terms if abs(m.coeff) > cut])
+        return WickPolynomial._canonical((k, c) for k, c in self._terms.items() if abs(c) > cut)
 
     def relabel(self, mapping):
         """Rename spacetime slots in legs and factor args."""
@@ -171,27 +179,26 @@ class WickPolynomial:
             return mapping.get(s, s)
 
         out = []
-        for m in self.terms:
-            factors = tuple(
+        for (factors, legs), c in self._terms.items():
+            new_factors = tuple(
                 Factor(f.kind, f.name, tuple(ren(a) if isinstance(a, str) else a for a in f.args))
-                for f in m.factors
+                for f in factors
             )
-            legs = tuple(
-                FieldLeg(l.field, l.character, ren(l.slot), l.index) for l in m.legs
-            )
-            out.append(WickMonomial(m.coeff, factors, legs))
+            new_legs = tuple(FieldLeg(l.field, l.character, ren(l.slot), l.index) for l in legs)
+            out.append(WickMonomial(c, new_factors, new_legs))
         return WickPolynomial(out)
 
     def max_total_legs(self):
-        return max((len(m.legs) for m in self.terms), default=0)
+        return max((len(legs) for _, legs in self._terms), default=0)
 
     def to_json(self) -> str:
         rows = []
         for m in self.terms:
+            c = complex(m.coeff)
             rows.append(
                 {
-                    "coeff": [m.coeff.real if isinstance(m.coeff, complex) else float(m.coeff),
-                              m.coeff.imag if isinstance(m.coeff, complex) else 0.0],
+                    # + 0.0 prints a signed zero as 0.0
+                    "coeff": [c.real + 0.0, c.imag + 0.0],
                     "factors": [[f.kind, f.name, list(f.args)] for f in m.factors],
                     "legs": [[l.field, l.character, l.slot, l.index] for l in m.legs],
                 }
@@ -260,7 +267,8 @@ def scalar_vertex(slot: str, power: int = 3) -> WickPolynomial:
 
 
 def _matchings(ann_legs, cre_legs):
-    """All injective partial matchings of contractible (ann, cre) pairs."""
+    """All injective partial matchings of contractible (ann, cre) pairs,
+    each listed in annihilation-position order."""
 
     def rec(i):
         if i == len(ann_legs):
@@ -270,7 +278,7 @@ def _matchings(ann_legs, cre_legs):
         partner = FIELDS[leg_a.field][1]
         for rest in rec(i + 1):
             yield rest
-            used = {b for _, b in rest}
+            used = {pos_b for _, (pos_b, _) in rest}
             for pos_b, leg_b in cre_legs:
                 if pos_b in used:
                     continue
@@ -280,51 +288,37 @@ def _matchings(ann_legs, cre_legs):
     return rec(0)
 
 
-def _contraction_sign(legs, pairs):
-    """Sign from pulling each contracted pair adjacent, fermi legs only."""
-    alive = [True] * len(legs)
-    sign = 1
-    for (pa, la), (pb, lb) in sorted(pairs, key=lambda pr: pr[0][0]):
-        if la.grade == FERMI:
-            crossings = sum(
-                1
-                for k in range(min(pa, pb) + 1, max(pa, pb))
-                if alive[k] and legs[k].grade == FERMI
-            )
-            if crossings % 2:
-                sign = -sign
-        alive[pa] = False
-        alive[pb] = False
-    return sign
-
-
 def operator_product(A: WickPolynomial, B: WickPolynomial) -> WickPolynomial:
     """Operator product expanded into normal form (Wick theorem).
 
     Sums over all ways to contract annihilation legs of A against
     creation legs of B of the matching field type; every contraction
-    contributes a pairing factor and a fermionic sign.
+    contributes a pairing factor and the fermionic sign of the reorder
+    that puts each contracted pair side by side, in annihilation-position
+    order, ahead of the uncontracted legs.
     """
     out = []
+    b_terms = B.terms
     for ma in A.terms:
         ann_a = [(i, leg) for i, leg in enumerate(ma.legs) if leg.character == ANNIHILATION]
-        for mb in B.terms:
-            legs_all = list(ma.legs) + list(mb.legs)
-            offset = len(ma.legs)
+        offset = len(ma.legs)
+        for mb in b_terms:
+            legs_all = ma.legs + mb.legs
             cre_b = [
                 (offset + j, leg)
                 for j, leg in enumerate(mb.legs)
                 if leg.character == CREATION
             ]
             for pairs in _matchings(ann_a, cre_b):
-                sign = _contraction_sign(legs_all, pairs)
-                dead = set()
                 factors = list(ma.factors) + list(mb.factors)
+                order = []
                 for (pa, la), (pb, lb) in pairs:
-                    dead.add(pa)
-                    dead.add(pb)
+                    order += (pa, pb)
                     factors.append(pair_factor(la, lb))
-                legs = tuple(l for k, l in enumerate(legs_all) if k not in dead)
+                dead = set(order)
+                alive = [k for k in range(len(legs_all)) if k not in dead]
+                sign = inversion_sign([k for k in order + alive if legs_all[k].grade == FERMI])
+                legs = tuple(legs_all[k] for k in alive)
                 out.append(
                     WickMonomial(sign * ma.coeff * mb.coeff, tuple(sorted(factors)), legs)
                 )
@@ -333,4 +327,4 @@ def operator_product(A: WickPolynomial, B: WickPolynomial) -> WickPolynomial:
 
 def vacuum_expectation(P: WickPolynomial) -> WickPolynomial:
     """Leg-free (vacuum graph) part of a polynomial."""
-    return WickPolynomial([m for m in P.terms if not m.legs])
+    return WickPolynomial._canonical((k, c) for k, c in P._terms.items() if not k[1])

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from causalqed.grassmann import (BOSE, FERMI, GradedVar, Partition,
-                                 PartitionError, parity_sign, reorder_sign)
+from causalqed.grassmann import (BOSE, FERMI, GradedVar, PartitionError,
+                                 reorder_sign)
 
 
 def brute_sign(source, target):
@@ -62,23 +62,6 @@ def test_reorder_sign_is_multiplicative():
                 == reorder_sign(source, mid) * reorder_sign(mid, tgt))
 
 
-def test_partition_parity_matches_concatenation():
-    vs = [GradedVar(f"v{i}", i % 2) for i in range(5)]
-    for cut in range(1, 4):
-        part = Partition(vs, [vs[cut:], vs[:cut]])
-        assert parity_sign(part) == reorder_sign(vs, vs[cut:] + vs[:cut])
-
-
-def test_partition_validation_errors():
-    a, b = GradedVar("a", FERMI), GradedVar("b", BOSE)
-    with pytest.raises(PartitionError):
-        Partition([a, b], [[a]]).validate()
-    with pytest.raises(PartitionError):
-        Partition([a, a], [[a], [a]]).validate()
-    with pytest.raises(PartitionError):
-        Partition([a, b], [[GradedVar("a", BOSE)], [b]]).validate()
-
-
 def test_all_permutations_of_four_fermis():
     vs = [GradedVar(f"f{i}", FERMI) for i in range(4)]
     for perm in itertools.permutations(vs):
@@ -88,3 +71,6 @@ def test_all_permutations_of_four_fermis():
 def test_bad_grade_rejected():
     with pytest.raises(ValueError):
         GradedVar("x", 2)
+    a = GradedVar("a", FERMI)
+    with pytest.raises(PartitionError):
+        reorder_sign([a, a], [a, a])

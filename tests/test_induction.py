@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate
 
 from causalqed.induction import (LatticeToy, OrderData, SeriesError,
-                                 build_Aprime_Rprime, invert_series,
-                                 lattice_support_check, partition_count,
-                                 slot_names, symbolic_split, window_smear)
+                                 build_Aprime_Rprime, extend_series,
+                                 invert_series, lattice_support_check,
+                                 partition_count, slot_names, symbolic_split,
+                                 window_smear)
 from causalqed.wick import ONE, operator_product, scalar_vertex
 
 
@@ -124,3 +125,12 @@ def test_ordata_relabels_canonical_slots():
     poly = data.S_at(("y", ))
     assert poly == scalar_vertex("y").scaled(1j)
     assert data.S_at(()) == ONE
+
+
+def test_linear_vertex_series_keeps_leg_parity():
+    # every term of S_n for a one-leg vertex has n legs minus two per
+    # contraction
+    data = make_data(power=1)
+    extend_series(data, 4)
+    assert len(data.S[4]) > 0
+    assert all(len(m.legs) % 2 == 0 for m in data.S[4].terms)

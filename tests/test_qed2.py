@@ -72,10 +72,40 @@ def test_dispersion_schwarz_reflection(vp):
     assert vp.scalar_part(np.conj(z)) == pytest.approx(np.conj(vp.scalar_part(z)))
 
 
+def _pi_real_on_cut(m, s):
+    """Re Pi(s + i0) for s > 4 m^2 from the Feynman-parameter form
+
+    Pi(s) = -4 int_0^1 u [log(1 - u s/m^2 - i0) + u s/m^2] dx,  u = x(1-x),
+
+    integrated in closed form: 1 - u r = r (x - a)(x - 1 + a) with
+    a = (1 - beta)/2, and the two root logarithms contribute equally.
+    """
+    r = s / (m * m)
+    a = (1.0 - math.sqrt(1.0 - 4.0 / r)) / 2.0
+    P = a * a / 2.0 - a ** 3 / 3.0  # antiderivative of u at x = a
+    # J = int_0^1 u log|x - a| dx, by parts against P(x) - P(a)
+    J = ((1.0 / 6.0 - P) * math.log(1.0 - a) + P * math.log(a)
+         - 5.0 / 36.0 - a / 3.0 + a * a / 3.0)
+    return -4.0 * (math.log(r) / 6.0 + 2.0 * J + r / 30.0)
+
+
+def test_scalar_part_real_on_cut_matches_closed_form(vp):
+    for r in (6.0, 20.0):
+        s = r * M * M
+        assert vp.scalar_part(s).real == pytest.approx(_pi_real_on_cut(M, s), rel=1e-10)
+
+
+def test_self_energy_on_cut_matches_upper_half_plane(se):
+    # a(s + i0) is the boundary value of a(z) from Im z > 0
+    for s in (2.0, 4.0):
+        assert abs(se.a(s) - se.a(s + 1e-4j)) < 1e-3
+
+
 def test_on_shell_vacuum_polarization(vp):
     report = check_on_shell(vp, tol=1e-8)
     assert report["all_pass"]
     assert report["conditions"][0]["residual"] <= 1e-10
+    assert check_on_shell(build_vacuum_polarization(0.5), tol=1e-8)["all_pass"]
 
 
 def test_on_shell_self_energy(se):

@@ -1,5 +1,6 @@
 import pytest
 
+from causalqed import wick
 from causalqed.wick import (ONE, ZERO, ContractionError, Factor, FieldLeg,
                             WickMonomial, WickPolynomial, free_field,
                             operator_product, pair_factor, qed_vertex,
@@ -113,3 +114,36 @@ def test_operator_product_distributes_over_sums():
     lhs = operator_product(a, b + c)
     rhs = operator_product(a, b) + operator_product(a, c)
     assert lhs == rhs
+
+
+def test_scalar_operator_product_is_associative():
+    # each creation leg is contracted at most once, so the product of
+    # phi^3(x), phi(y), phi^2(z) associates
+    A = wick_product([free_field("scalar", "x")] * 3)
+    B = free_field("scalar", "y")
+    C = wick_product([free_field("scalar", "z")] * 2)
+    left = operator_product(operator_product(A, B), C)
+    right = operator_product(A, operator_product(B, C))
+    scale = max(left.max_abs_coeff(), right.max_abs_coeff())
+    assert (left - right).chopped(1e-12, scale=scale).is_zero()
+
+
+def test_canonical_operations_skip_normal_ordering(monkeypatch):
+    P = (operator_product(qed_vertex("x"), qed_vertex("y"))
+         + operator_product(scalar_vertex("x"), scalar_vertex("y")))
+    Q = operator_product(qed_vertex("y"), qed_vertex("x")).scaled(0.5)
+    cut = 0.5 * P.max_abs_coeff()
+    raw = (WickPolynomial(P.terms + Q.terms),
+           WickPolynomial(P.terms + [WickMonomial(-m.coeff, m.factors, m.legs)
+                                     for m in Q.terms]),
+           WickPolynomial([WickMonomial(2j * m.coeff, m.factors, m.legs) for m in P.terms]),
+           WickPolynomial([m for m in P.terms if abs(m.coeff) > cut]))
+
+    def refuse(legs):
+        raise AssertionError("canonical polynomial normal-ordered again")
+
+    monkeypatch.setattr(wick, "_normal_order", refuse)
+    merged = (P + Q, P - Q, P.scaled(2j), P.chopped(0.5))
+    monkeypatch.undo()
+    assert merged == raw
+    assert 0 < len(merged[3]) < len(P)
