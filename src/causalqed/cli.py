@@ -217,17 +217,17 @@ def cmd_sweep(args) -> int:
     phi = lambda p4: float(np.exp(-float(np.dot(p4, p4))))
     channel = args.channel
     try:
-        if channel == "massless_charge":
-            green = None
-            consts = (args.c0 or 0.0, args.c1 or 0.0)
-            result = sweep(channel, green, xi, phi, family, constants=consts)
-        else:
-            which = "vacuum-pol" if channel.startswith("Pi") else "self-energy"
-            green = _green_from_args(args, which)
-            result = sweep(channel, green, xi, phi, family)
-    except MasslessNormalizationError as exc:
+        green = None if channel == "massless_charge" else _green_from_args(
+            args, "vacuum-pol" if channel.startswith("Pi") else "self-energy")
+    except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    try:
+        if green is None:
+            result = sweep(channel, None, xi, phi, family,
+                           constants=(args.c0 or 0.0, args.c1 or 0.0))
+        else:
+            result = sweep(channel, green, xi, phi, family)
     except (ArithmeticError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

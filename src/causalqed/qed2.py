@@ -4,9 +4,11 @@ Sigma, with on-mass-shell normalization.
 
 The causal discontinuity (imaginary part across the cut) is computed by
 numerical two-body phase-space integration of the pairing-function
-product with explicit 4x4 gamma-matrix traces; the functions themselves
-are subtracted dispersion integrals over that discontinuity.  Coupling
-constants are set to 1 throughout.
+product.  Its Dirac traces, taken with the explicit 4x4 gamma matrices,
+are contracted once at import into a bilinear (Pi) or linear (Sigma) form
+in the leg components (q^0..q^3, +-m) that each call evaluates on the
+angular nodes; the functions themselves are subtracted dispersion
+integrals over that discontinuity.  Coupling constants are set to 1 throughout.
 
 Decompositions: Pi_tensor^{mu nu}(p) = (p^mu p^nu - p^2 g^{mu nu}) Pi(p^2),
 Sigma(p) = a(p^2) + pslash b(p^2).
@@ -32,25 +34,31 @@ class MasslessNormalizationError(ValueError):
 
 
 _COS_NODES, _COS_WEIGHTS = np.polynomial.legendre.leggauss(6)
+# first-leg unit direction per angular node, as leg components (q^0..q^3, mass term)
+_NODE_DIRECTIONS = np.zeros((6, 5))
+_NODE_DIRECTIONS[:, 1] = np.sqrt(np.maximum(0.0, 1.0 - _COS_NODES ** 2))
+_NODE_DIRECTIONS[:, 3] = _COS_NODES
+
+# Gamma_a = (gamma_mu with metric sign, 1), so qslash + m = sum_a v_a Gamma_a
+# for leg components v = (q^0..q^3, m); the traces are contracted once here.
+_BASIS = np.concatenate([np.einsum("mn,nij->mij", METRIC, GAMMA), IDENTITY4[None]])
+_GAMMA_BASIS = np.einsum("mij,ajk->maik", GAMMA, _BASIS)  # gamma^m Gamma_a
+# P_ab = proj_mn Tr[gamma^m Gamma_a gamma^n Gamma_b]; the rest-frame proj is s-independent
+_PI_FORM = np.einsum("mn,maij,nbji->ab", METRIC - np.diag([1.0, 0.0, 0.0, 0.0]),
+                     _GAMMA_BASIS, _GAMMA_BASIS).real
+# Tr[gamma^mu Gamma_a gamma_mu] / 4 and Tr[gamma^0 gamma^mu Gamma_a gamma_mu] / 4
+_SIGMA_FORMS = dict(zip("ab", np.einsum("hij,majk,mki->ha", np.stack([IDENTITY4, GAMMA[0]]),
+                                         _GAMMA_BASIS, _BASIS[:4]).real / 4.0))
 
 
 def _kallen(s, m1, m2):
     return (s - (m1 + m2) ** 2) * (s - (m1 - m2) ** 2)
 
 
-_SIN_NODES = np.sqrt(np.maximum(0.0, 1.0 - _COS_NODES ** 2))
-_METRIC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def _angular_phase_space(s, values, k):
     """(k / 4 sqrt(s)) * integral dOmega, from per-node integrand values."""
     total = 2.0 * math.pi * float(np.dot(_COS_WEIGHTS, values))  # azimuthal symmetry
     return (k / (4.0 * math.sqrt(s))) * total
-
-
-def _slash_batch(qs):
-    """gamma^mu q_mu for a batch of 4-vectors, shape (n, 4) -> (n, 4, 4)."""
-    return np.einsum("ck,kij->cij", qs * _METRIC_SIGNS, GAMMA)
 
 
 def causal_imaginary_part(which: str, m: float, s: float,
@@ -69,37 +77,25 @@ def causal_imaginary_part(which: str, m: float, s: float,
             return 0.0
         k = math.sqrt(s / 4.0 - m * m)
         E = math.sqrt(s) / 2.0
-        p = np.array([math.sqrt(s), 0.0, 0.0, 0.0])
-        p_low = METRIC @ p
-        proj = METRIC - np.outer(p_low, p_low) / s  # P_{mu nu}
-        zero = np.zeros_like(_SIN_NODES)
-        q1 = np.stack([np.full_like(zero, E), k * _SIN_NODES, zero, k * _COS_NODES], axis=1)
-        m1 = _slash_batch(q1) + m * IDENTITY4
-        m2 = _slash_batch(-q1 + np.array([2.0 * E, 0.0, 0.0, 0.0])) - m * IDENTITY4
-        # T^{mu nu} = Tr[gamma^mu m1 gamma^nu m2], one matrix per angular node
-        T = np.einsum("mij,cjk,nkl,cli->cmn", GAMMA, m1, GAMMA, m2)
-        values = (-np.einsum("mn,cmn->c", proj, T) / (3.0 * s)).real
+        # -proj_mn Tr[gamma^m (q1slash + m) gamma^n (q2slash - m)] / 3s, q2 = p - q1
+        q1 = k * _NODE_DIRECTIONS + [E, 0.0, 0.0, 0.0, m]
+        q2 = -k * _NODE_DIRECTIONS + [E, 0.0, 0.0, 0.0, -m]
+        values = -((q1 @ _PI_FORM) * q2).sum(axis=1) / (3.0 * s)
         return _angular_phase_space(s, values, k)
 
     if which == "Sigma":
-        mu_ph = photon_mass
-        if s <= (m + mu_ph) ** 2:
-            return 0.0
-        lam = _kallen(s, m, mu_ph)
-        k = math.sqrt(lam) / (2.0 * math.sqrt(s))
-        Eq = (s + m * m - mu_ph * mu_ph) / (2.0 * math.sqrt(s))
-        p = np.array([math.sqrt(s), 0.0, 0.0, 0.0])
-        zero = np.zeros_like(_SIN_NODES)
-        q = np.stack([np.full_like(zero, Eq), k * _SIN_NODES, zero, k * _COS_NODES], axis=1)
-        qs = _slash_batch(q) + m * IDENTITY4
-        # gamma^mu X gamma_mu with the (+,-,-,-) metric contraction
-        N = np.einsum("m,mij,cjk,mkl->cil", _METRIC_SIGNS, GAMMA, qs, GAMMA)
-        if component == "a":
-            values = np.einsum("cii->c", N).real / 4.0
-        elif component == "b":
-            values = np.einsum("ij,cji->c", slash(p), N).real / (4.0 * s)
-        else:
+        if photon_mass < 0:
+            raise ValueError("photon mass must be nonnegative")
+        if component not in _SIGMA_FORMS:
             raise ValueError(f"unknown Sigma component {component!r}")
+        if s <= (m + photon_mass) ** 2:
+            return 0.0
+        k = math.sqrt(_kallen(s, m, photon_mass)) / (2.0 * math.sqrt(s))
+        Eq = (s + m * m - photon_mass * photon_mass) / (2.0 * math.sqrt(s))
+        # gamma^mu (qslash + m) gamma_mu projected on 1 (a) or pslash / s (b)
+        values = (k * _NODE_DIRECTIONS + [Eq, 0.0, 0.0, 0.0, m]) @ _SIGMA_FORMS[component]
+        if component == "b":
+            values = values / math.sqrt(s)
         return _angular_phase_space(s, values, k)
 
     raise ValueError(f"unknown Green function {which!r}")
@@ -152,6 +148,8 @@ def _dispersion(rho, thr: float, z, n_sub: int, s0: float = 0.0):
 
 def _dispersion_derivative_at_anchor(rho, thr: float, s0: float) -> float:
     """d/ds at s = s0 of the once-subtracted dispersion anchored at s0."""
+    if thr <= s0:  # rho ~ (s' - s0) at the anchor: rho / (s' - s0)^2 is not integrable
+        raise ArithmeticError("shell derivative diverges: the cut starts at the anchor")
     val, _ = integrate.quad(lambda sp: rho(sp) / (sp - s0) ** 2, thr, np.inf,
                             limit=300, epsabs=1e-12, epsrel=1e-11)
     return val / math.pi
@@ -263,8 +261,9 @@ def build_self_energy(m: float, photon_mass: float = None,
     """Self-energy from once-subtracted dispersion integrals at p^2 = m^2.
 
     The photon-mass regulator (default m/10) keeps the shell-derivative
-    condition finite.  normalization: "on-shell" solves the two shell
-    conditions for (c0, c1); a pair (c0, c1) is used verbatim.
+    condition finite; on-shell normalization rejects photon_mass = 0.
+    normalization: "on-shell" solves the two shell conditions for (c0, c1);
+    a pair (c0, c1) is used verbatim.
     """
     if m <= 0:
         raise MasslessNormalizationError(
@@ -272,8 +271,8 @@ def build_self_energy(m: float, photon_mass: float = None,
             "admits no shell normalization point)")
     if photon_mass is None:
         photon_mass = m / 10.0
-    if photon_mass < 0:
-        raise ValueError("photon mass regulator must be nonnegative")
+    if photon_mass < 0 or (photon_mass == 0 and normalization == "on-shell"):
+        raise ValueError("photon mass must be nonnegative, and positive on shell")
     probe = SelfEnergy(m=m, photon_mass=photon_mass, constants=(0.0, 0.0))
     if normalization == "on-shell":
         ap = probe.a_prime_shell()

@@ -66,6 +66,17 @@ def test_self_energy_run(tmp_path):
     assert run(tmp_path, "self-energy", "--m", "0") == 2
 
 
+def test_self_energy_without_photon_mass(tmp_path):
+    # on-shell needs a positive photon mass: a validation failure
+    assert run(tmp_path, "self-energy", "--m", "1", "--mu", "0") == 2
+    # custom constants build, but the shell check diverges: a numeric failure
+    assert run(tmp_path, "self-energy", "--m", "1", "--mu", "0",
+               "--normalization", "custom", "--c0", "0", "--c1", "0") == 3
+    # the sweep rejects the same Green-function input as a validation failure
+    assert run(tmp_path, "adiabatic-sweep", "--channel", "Sigma_into_psi",
+               "--mu", "0", "--eps-steps", "2") == 2
+
+
 def test_sweep_on_shell_and_off_shell(tmp_path):
     assert run(tmp_path, "adiabatic-sweep", "--channel", "Sigma_into_psi",
                "--eps-steps", "8") == 0

@@ -1,0 +1,25 @@
+"""Smoke test: each demo script runs to completion as a subprocess.
+
+`inductive_construction` is left out because it alone takes about 20 s;
+the four demos run here take a few seconds together.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", ["split_toy_distributions", "one_loop_green_functions",
+                                  "adiabatic_limit_sweeps", "fock_grid_and_wick"])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from causalqed.distributions import METRIC, IDENTITY4, slash
+from causalqed.distributions import GAMMA, METRIC, IDENTITY4, slash
 from causalqed.qed2 import (MasslessNormalizationError, SelfEnergy,
                             VacuumPolarization, build_self_energy,
                             build_vacuum_polarization, causal_imaginary_part,
@@ -42,6 +42,58 @@ def test_rho_sigma_closed_forms():
         assert rb == pytest.approx(-(s + M * M - mu * mu) / s * phase, rel=1e-12)
 
 
+def _reference_imaginary_part(which, m, s, photon_mass=0.0, component="a"):
+    """The discontinuity from explicit 4x4 gamma-matrix traces, node by node.
+
+    Same 6-point Gauss-Legendre angular rule as the library, but every
+    angular node builds the slashed leg matrices and takes the traces
+    directly, with no precontracted form.  Only for s above threshold.
+    """
+    cos_nodes, weights = np.polynomial.legendre.leggauss(6)
+    p = np.array([math.sqrt(s), 0.0, 0.0, 0.0])
+    if which == "Pi":
+        k = math.sqrt(s / 4.0 - m * m)
+        energy = math.sqrt(s) / 2.0
+        p_low = METRIC @ p
+        proj = METRIC - np.outer(p_low, p_low) / s
+    else:
+        lam = (s - (m + photon_mass) ** 2) * (s - (m - photon_mass) ** 2)
+        k = math.sqrt(lam) / (2.0 * math.sqrt(s))
+        energy = (s + m * m - photon_mass * photon_mass) / (2.0 * math.sqrt(s))
+    values = []
+    for c in cos_nodes:
+        q = np.array([energy, k * math.sqrt(max(0.0, 1.0 - c * c)), 0.0, k * c])
+        if which == "Pi":
+            m1 = slash(q) + m * IDENTITY4
+            m2 = slash(p - q) - m * IDENTITY4
+            trace = sum(proj[mu, nu] * np.trace(GAMMA[mu] @ m1 @ GAMMA[nu] @ m2)
+                        for mu in range(4) for nu in range(4))
+            values.append(-trace.real / (3.0 * s))
+        else:
+            x = slash(q) + m * IDENTITY4
+            n = sum(METRIC[mu, mu] * GAMMA[mu] @ x @ GAMMA[mu] for mu in range(4))
+            if component == "a":
+                values.append(np.trace(n).real / 4.0)
+            else:
+                values.append(np.trace(slash(p) @ n).real / (4.0 * s))
+    return (k / (4.0 * math.sqrt(s))) * 2.0 * math.pi * float(np.dot(weights, values))
+
+
+def test_rho_matches_explicit_trace_reference():
+    rng = np.random.default_rng(20261017)
+    for _ in range(40):
+        m = rng.uniform(0.3, 3.0)
+        for mu in (0.0, 0.05 * m, 0.3 * m):
+            for which, component, thr in (("Pi", "a", 4.0 * m * m),
+                                          ("Sigma", "a", (m + mu) ** 2),
+                                          ("Sigma", "b", (m + mu) ** 2)):
+                # s from thr (1 + 1e-6) up to about 1e4 thr, log-spaced offsets
+                s = thr * (1.0 + 10.0 ** rng.uniform(-6.0, 4.0))
+                got = causal_imaginary_part(which, m, s, photon_mass=mu, component=component)
+                want = _reference_imaginary_part(which, m, s, mu, component)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_rho_vanishes_below_threshold():
     assert causal_imaginary_part("Pi", M, 3.9) == 0.0
     assert causal_imaginary_part("Sigma", M, 1.2, photon_mass=0.1) == 0.0
@@ -54,6 +106,8 @@ def test_input_validation():
         causal_imaginary_part("Gamma3", M, 5.0)
     with pytest.raises(ValueError):
         causal_imaginary_part("Sigma", M, 5.0, component="c")
+    with pytest.raises(ValueError):
+        causal_imaginary_part("Sigma", M, 5.0, photon_mass=-0.5)
 
 
 def test_scalar_part_imaginary_jump_on_cut(vp):
@@ -146,6 +200,20 @@ def test_massless_rejections():
         build_vacuum_polarization(0.0, normalization=(0.1, 0.2))
     with pytest.raises(MasslessNormalizationError):
         build_self_energy(0.0)
+
+
+def test_self_energy_without_photon_mass_is_rejected_on_shell():
+    # the shell-derivative integrals diverge logarithmically at s' = m^2
+    with pytest.raises(ValueError):
+        build_self_energy(M, photon_mass=0.0)
+    custom = build_self_energy(M, photon_mass=0.0, normalization=(0.0, 0.0))
+    assert custom.constants == (0.0, 0.0)
+    with pytest.raises(ArithmeticError):
+        custom.a_prime_shell()
+    with pytest.raises(ArithmeticError):
+        custom.b_prime_shell()
+    with pytest.raises(ArithmeticError):
+        check_on_shell(custom)
 
 
 def test_custom_normalization_used_verbatim():
