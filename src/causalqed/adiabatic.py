@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline
 
 from .fock import DiscreteKernel, MomentumGrid
 from .qed2 import SelfEnergy, VacuumPolarization, causal_imaginary_part
+from .splitting import dispersion
 
 DEFAULT_SCHEDULE = tuple(2.0 ** (-k) for k in range(3, 15))
 
@@ -201,14 +201,8 @@ def _massless_standoff(eps: float, s_fix: float = -1.0) -> float:
     removes the growth.
     """
     s0 = -eps
-
-    def kernel(sp):
-        rho = causal_imaginary_part("Pi", 0.0, sp)
-        return rho / ((sp - s0) ** 2 * (sp - s_fix))
-
-    val, _ = integrate.quad(kernel, 0.0, np.inf, limit=300,
-                            epsabs=1e-12, epsrel=1e-10)
-    return (s_fix - s0) ** 2 / math.pi * val
+    density = lambda sp: causal_imaginary_part("Pi", 0.0, sp) / (sp - s0) ** 2
+    return (s_fix - s0) ** 2 * dispersion(density, s_fix, thr=0.0)
 
 
 def smeared_contribution(channel: str, green, xi, phi, eps: float,
@@ -273,10 +267,7 @@ def weak_limit_vacuum(n: int, family: ScalingFamily, constants=(0.0, 0.0, 0.0),
         # w3(s) = s^3 u(s); u is smooth through s = 0, so the spline
         # below never spoils the exact s^3 zero that the eps^-4 scaling
         # amplifies
-        val, _ = integrate.quad(
-            lambda sp: causal_imaginary_part("Pi", m, sp) / (sp ** 3 * (sp - s)),
-            thr, np.inf, limit=200, epsabs=1e-13, epsrel=1e-10)
-        return val / math.pi
+        return dispersion(lambda sp: causal_imaginary_part("Pi", m, sp) / sp ** 3, s, thr)
 
     s_grid = np.linspace(-smax, smax, 41)
     u_spline = CubicSpline(s_grid, [u_factor(s) for s in s_grid])

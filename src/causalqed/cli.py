@@ -20,8 +20,7 @@ from .adiabatic import ScalingFamily, gaussian_profile, sweep
 from .distributions import CausalDistribution, descriptor_from_json, scaling_degree_estimate
 from .fock import commutator_check, uniform_grid
 from .induction import LatticeToy, OrderData, extend_series
-from .qed2 import (MasslessNormalizationError, build_self_energy,
-                   build_vacuum_polarization, check_on_shell)
+from .qed2 import build_self_energy, build_vacuum_polarization, check_on_shell
 from .splitting import (SplitInputError, SplitSpec, ambiguity_dimension,
                         split, toy_causal)
 from .wick import scalar_vertex
@@ -162,12 +161,12 @@ def cmd_green(args) -> int:
     out = _outdir(args)
     try:
         green = _green_from_args(args, args.command)
-    except MasslessNormalizationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     try:
         g = DEFAULTS["s_grid"]
         stop = min(g["stop"], 0.95 * green.threshold)
@@ -222,6 +221,9 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     try:
         if green is None:
             result = sweep(channel, None, xi, phi, family,
@@ -247,8 +249,9 @@ def cmd_fock_check(args) -> int:
     out = _outdir(args)
     modes = args.grid_modes if args.grid_modes is not None else DEFAULTS["grid_modes"]
     cutoff = args.cutoff if args.cutoff is not None else DEFAULTS["cutoff"]
-    if modes > DEFAULTS["grid_modes_cap"] or cutoff > DEFAULTS["cutoff_cap"]:
-        print("grid size or cutoff exceeds the configured cap", file=sys.stderr)
+    if not (1 <= modes <= DEFAULTS["grid_modes_cap"] and 1 <= cutoff <= DEFAULTS["cutoff_cap"]):
+        print("grid size and cutoff must lie between 1 and the configured caps",
+              file=sys.stderr)
         return EXIT_VALIDATION
     report = {}
     for stat in ("bose", "fermi"):

@@ -319,6 +319,8 @@ def commutator_check(grid: MomentumGrid, cutoff: int = 3) -> float:
     Anticommutator for fermi-fermi pairs, commutator otherwise; evaluated
     on every occupation basis state with total number <= cutoff - 1.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1: no basis state lies below it")
     worst = 0.0
     configs = _basis_configs(grid, cutoff - 1)
     for i in range(grid.n_modes):

@@ -7,8 +7,10 @@ numerical two-body phase-space integration of the pairing-function
 product.  Its Dirac traces, taken with the explicit 4x4 gamma matrices,
 are contracted once at import into a bilinear (Pi) or linear (Sigma) form
 in the leg components (q^0..q^3, +-m) that each call evaluates on the
-angular nodes; the functions themselves are subtracted dispersion
-integrals over that discontinuity.  Coupling constants are set to 1 throughout.
+angular nodes.  The functions themselves are subtracted dispersion
+integrals over that discontinuity: (s - s0)^n times `splitting.dispersion`
+of rho(s') / (s' - s0)^n, and a shell derivative is the transform of
+rho(s') / (s' - m^2) at s = m^2.  Coupling constants are set to 1 throughout.
 
 Decompositions: Pi_tensor^{mu nu}(p) = (p^mu p^nu - p^2 g^{mu nu}) Pi(p^2),
 Sigma(p) = a(p^2) + pslash b(p^2).
@@ -24,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import GAMMA, IDENTITY4, METRIC, slash
+from .splitting import dispersion
 
 
 class MasslessNormalizationError(ValueError):
@@ -101,60 +103,6 @@ def causal_imaginary_part(which: str, m: float, s: float,
     raise ValueError(f"unknown Green function {which!r}")
 
 
-def _dispersion(rho, thr: float, z, n_sub: int, s0: float = 0.0):
-    """Subtracted dispersion integral.
-
-    ((z - s0)^n / pi) * integral_thr^inf rho(s') / ((s'-s0)^n (s'-z)) ds'
-    with n = n_sub.  Real z on the cut gets the principal value plus
-    i rho(z); complex z and real z below thr integrate directly.
-    """
-    z = complex(z)
-
-    def kernel(sp, zz):
-        return rho(sp) / ((sp - s0) ** n_sub * (sp - zz))
-
-    if z.imag != 0.0 or z.real < thr:
-        re, _ = integrate.quad(lambda sp: kernel(sp, z).real, thr, np.inf,
-                               limit=300, epsabs=1e-12, epsrel=1e-11)
-        if z.imag == 0.0:
-            val = re + 0.0j  # the kernel is real for real z off the cut
-        else:
-            im, _ = integrate.quad(lambda sp: kernel(sp, z).imag, thr, np.inf,
-                                   limit=300, epsabs=1e-12, epsrel=1e-11)
-            val = re + 1j * im
-    else:
-        x = z.real
-        h = (x - thr) / 2.0
-        if h <= 0:
-            raise ArithmeticError("dispersion evaluation at the threshold point")
-
-        def smooth(sp):
-            return rho(sp) / (sp - s0) ** n_sub
-
-        pv, _ = integrate.quad(lambda sp: smooth(sp), x - h, x + h,
-                               weight="cauchy", wvar=x, limit=300,
-                               epsabs=1e-12, epsrel=1e-11)
-        left, _ = integrate.quad(lambda sp: kernel(sp, x).real, thr, x - h,
-                                 limit=300, epsabs=1e-12, epsrel=1e-11)
-        right, _ = integrate.quad(lambda sp: kernel(sp, x).real, x + h, np.inf,
-                                  limit=300, epsabs=1e-12, epsrel=1e-11)
-        val = (pv + left + right) + 1j * math.pi * rho(x) / (x - s0) ** n_sub
-
-    out = (z - s0) ** n_sub / math.pi * val
-    if z.imag == 0.0 and z.real < thr:
-        return out.real
-    return out
-
-
-def _dispersion_derivative_at_anchor(rho, thr: float, s0: float) -> float:
-    """d/ds at s = s0 of the once-subtracted dispersion anchored at s0."""
-    if thr <= s0:  # rho ~ (s' - s0) at the anchor: rho / (s' - s0)^2 is not integrable
-        raise ArithmeticError("shell derivative diverges: the cut starts at the anchor")
-    val, _ = integrate.quad(lambda sp: rho(sp) / (sp - s0) ** 2, thr, np.inf,
-                            limit=300, epsabs=1e-12, epsrel=1e-11)
-    return val / math.pi
-
-
 @dataclass
 class VacuumPolarization:
     m: float
@@ -170,10 +118,9 @@ class VacuumPolarization:
 
     def scalar_part(self, s):
         C0, C1 = self.constants
-        if s == 0:
-            return complex(C0)
-        disp = _dispersion(self.rho, self.threshold, s, self.subtractions, s0=0.0)
-        return C0 + C1 * complex(s) + disp
+        n = self.subtractions
+        disp = dispersion(lambda sp: self.rho(sp) / sp ** n, s, self.threshold)
+        return C0 + C1 * complex(s) + s ** n * disp
 
     def tensor(self, p) -> np.ndarray:
         """Pi^{mu nu}(p) = (p^mu p^nu - p^2 g^{mu nu}) Pi(p^2), upper indices."""
@@ -201,24 +148,23 @@ class SelfEnergy:
         return causal_imaginary_part("Sigma", self.m, s,
                                      photon_mass=self.photon_mass, component="b")
 
-    def _disp(self, rho, s):
-        return _dispersion(rho, self.threshold, s, 1, s0=self.m * self.m)
+    def _subtracted(self, rho):
+        s0 = self.m * self.m
+        return lambda sp: rho(sp) / (sp - s0)
 
     def a(self, s):
-        if s == self.m * self.m:
-            return complex(self.constants[0])
-        return self.constants[0] + self._disp(self.rho_a, s)
+        return self.constants[0] + (s - self.m * self.m) * dispersion(
+            self._subtracted(self.rho_a), s, self.threshold)
 
     def b(self, s):
-        if s == self.m * self.m:
-            return complex(self.constants[1])
-        return self.constants[1] + self._disp(self.rho_b, s)
+        return self.constants[1] + (s - self.m * self.m) * dispersion(
+            self._subtracted(self.rho_b), s, self.threshold)
 
     def a_prime_shell(self) -> float:
-        return _dispersion_derivative_at_anchor(self.rho_a, self.threshold, self.m * self.m)
+        return dispersion(self._subtracted(self.rho_a), self.m * self.m, self.threshold)
 
     def b_prime_shell(self) -> float:
-        return _dispersion_derivative_at_anchor(self.rho_b, self.threshold, self.m * self.m)
+        return dispersion(self._subtracted(self.rho_b), self.m * self.m, self.threshold)
 
     def shell_combination(self) -> complex:
         """a(m^2) + m b(m^2): the dangerous on-shell coefficient."""
@@ -239,6 +185,8 @@ def build_vacuum_polarization(m: float, normalization="on-shell",
     Requires m > 0 for on-shell mode: with m = 0 the subtraction point 0
     sits on the cut and the on-shell-subtracted integral diverges.
     """
+    if not math.isfinite(m):
+        raise ValueError("mass must be finite")
     if normalization == "on-shell":
         if m <= 0:
             raise MasslessNormalizationError(
@@ -265,12 +213,14 @@ def build_self_energy(m: float, photon_mass: float = None,
     normalization: "on-shell" solves the two shell conditions for (c0, c1);
     a pair (c0, c1) is used verbatim.
     """
+    if photon_mass is None:
+        photon_mass = m / 10.0
+    if not (math.isfinite(m) and math.isfinite(photon_mass)):
+        raise ValueError("mass and photon mass must be finite")
     if m <= 0:
         raise MasslessNormalizationError(
             "on-shell self-energy normalization needs m > 0 (massless charge "
             "admits no shell normalization point)")
-    if photon_mass is None:
-        photon_mass = m / 10.0
     if photon_mass < 0 or (photon_mass == 0 and normalization == "on-shell"):
         raise ValueError("photon mass must be nonnegative, and positive on shell")
     probe = SelfEnergy(m=m, photon_mass=photon_mass, constants=(0.0, 0.0))

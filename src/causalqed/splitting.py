@@ -11,6 +11,9 @@ For singularity order omega >= 0 the kernel carries the subtraction
 factor ((E - E0)/(E' - E0))^(omega+1) anchored at the normalization
 point E0, and the result is unique only up to an added polynomial
 sum_k C_k (E - E0)^k of degree omega.
+
+`dispersion` is the one Cauchy transform behind this split and behind
+the subtracted dispersion integrals of `qed2` and `adiabatic`.
 """
 
 from __future__ import annotations
@@ -55,41 +58,60 @@ class SplitResult:
     advanced: CausalDistribution
 
 
-# integration window in the compactified variable u = arctan(E')
+# one quadrature tolerance set for every dispersion integral
+_QUAD = dict(limit=400, epsabs=1e-12, epsrel=1e-11)
+# integration window in the compactified variable u = arctan(s')
 _U_EDGE = math.pi / 2 - 1e-10
 
 
-def _pv_dispersion(dhat, E, omega, E0):
-    """PV integral of dhat(E') K(E') / (E - E') over the real line.
+def _integral_from(f, thr: float, upper: float = math.inf) -> float:
+    """integral_thr^upper f(s') ds'.  From a finite thr it runs in u with
+    s' = thr + u^2, which takes the square-root edge of a two-body density
+    off the endpoint, where quad would otherwise bisect down to it."""
+    if math.isinf(thr):
+        return integrate.quad(f, thr, upper, **_QUAD)[0]
+    return integrate.quad(lambda u: 2.0 * u * f(thr + u * u),
+                          0.0, math.sqrt(upper - thr), **_QUAD)[0]
 
-    K = 1 for omega < 0, else 1/(E'-E0)^(omega+1).  Compactified with
-    E' = tan(u) and evaluated with the Cauchy-weight quadrature.
+
+def dispersion(density, z, thr: float = -math.inf):
+    """Cauchy transform (1/pi) integral_thr^inf density(s') / (s' - z) ds'.
+
+    `density` is real.  Real z below thr gives a float; real z on the
+    support gives the boundary value from above, PV + i density(z).  A
+    subtracted dispersion integral is (z - s0)^n times the transform of
+    rho(s') / (s' - s0)^n.  On the whole line the PV is one Cauchy-weight
+    quad in the compactified u = arctan(s'); on a half line it is a
+    Cauchy-weight window around z plus the two flanks.
     """
-    u0 = math.atan(E)
+    z = complex(z)
+    x, y = z.real, z.imag
+    if y != 0.0:
+        re = _integral_from(lambda sp: density(sp) * (sp - x) / ((sp - x) ** 2 + y * y), thr)
+        im = _integral_from(lambda sp: density(sp) * y / ((sp - x) ** 2 + y * y), thr)
+        return complex(re, im) / math.pi
+    if x < thr:
+        return _integral_from(lambda sp: density(sp) / (sp - x), thr) / math.pi
+    if math.isinf(thr):
+        u0 = math.atan(x)
 
-    def kernel(Ep):
-        if omega < 0:
-            return dhat(Ep)
-        if Ep == E0:
-            # removable: dhat must vanish to order omega+1 at E0
-            Ep = E0 + 1e-9 * (1.0 + abs(E0))
-        return dhat(Ep) / (Ep - E0) ** (omega + 1)
+        def smooth(u):
+            # density * sec^2(u) * (u - u0) / (tan u - x), which tends to density(x)
+            if abs(u - u0) < 1e-9:
+                return density(x)
+            sp = math.tan(u)
+            return density(sp) * (1.0 + sp * sp) * (u - u0) / (sp - x)
 
-    def f(u):
-        # smooth factor: kernel * sec^2(u) * (u - u0) / (E - tan u)
-        if abs(u - u0) < 1e-9:
-            return -kernel(E)
-        Ep = math.tan(u)
-        sec2 = 1.0 + Ep * Ep
-        return kernel(Ep) * sec2 * (u - u0) / (E - Ep)
-
-    re, _ = integrate.quad(lambda u: f(u).real, -_U_EDGE, _U_EDGE,
-                           weight="cauchy", wvar=u0, limit=400,
-                           epsabs=1e-12, epsrel=1e-12)
-    im, _ = integrate.quad(lambda u: f(u).imag, -_U_EDGE, _U_EDGE,
-                           weight="cauchy", wvar=u0, limit=400,
-                           epsabs=1e-12, epsrel=1e-12)
-    return re + 1j * im
+        pv, _ = integrate.quad(smooth, -_U_EDGE, _U_EDGE, weight="cauchy", wvar=u0, **_QUAD)
+    else:
+        h = (x - thr) / 2.0
+        if h <= 0:
+            raise ArithmeticError("dispersion evaluation at the threshold point")
+        window, _ = integrate.quad(density, x - h, x + h, weight="cauchy", wvar=x, **_QUAD)
+        left = _integral_from(lambda sp: density(sp) / (sp - x), thr, x - h)
+        right, _ = integrate.quad(lambda sp: density(sp) / (sp - x), x + h, math.inf, **_QUAD)
+        pv = window + left + right
+    return complex(pv / math.pi, density(x))
 
 
 def split(d: CausalDistribution, spec: SplitSpec) -> SplitResult:
@@ -105,12 +127,20 @@ def split(d: CausalDistribution, spec: SplitSpec) -> SplitResult:
     def dhat(E):
         return complex(d.eval_fn(E))
 
+    n = omega + 1 if omega >= 0 else 0
+
+    def subtracted(Ep):
+        if n and Ep == E0:
+            # removable: dhat must vanish to order n at E0
+            Ep = E0 + 1e-9 * (1.0 + abs(E0))
+        return dhat(Ep) / (Ep - E0) ** n
+
     def ret_eval(E):
         E = float(np.asarray(E).reshape(()))
-        pv = _pv_dispersion(dhat, E, omega, E0)
-        if omega >= 0:
-            pv *= (E - E0) ** (omega + 1)
-        val = dhat(E) / 2.0 + (1j / (2.0 * math.pi)) * pv
+        # PV of the subtracted transform, one real density at a time
+        pv = (dispersion(lambda Ep: subtracted(Ep).real, E).real
+              + 1j * dispersion(lambda Ep: subtracted(Ep).imag, E).real)
+        val = dhat(E) / 2.0 - 0.5j * (E - E0) ** n * pv
         for k, C in enumerate(consts):
             val += C * (E - E0) ** k
         return val

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from causalqed.adiabatic import (CHANNELS, ScalingFamily, bump_profile,
+from causalqed.adiabatic import (CHANNELS, DEFAULT_SCHEDULE, ScalingFamily,
+                                 _massless_standoff, bump_profile,
                                  classify_sweep, epsilon_free_evaluation,
                                  gaussian_profile, scaling_delta_check,
                                  smeared_contribution, sweep)
@@ -110,3 +111,10 @@ def test_channel_type_guards(se):
 def test_channel_registry():
     assert set(CHANNELS) == {"Sigma_into_psi", "Pi_into_A",
                              "Pi_into_current", "massless_charge"}
+
+
+def test_massless_standoff_closed_form():
+    # rho_Pi = 1/6 at m = 0; partial fractions of 1 / ((s' + eps)^2 (s' + 1))
+    for eps in DEFAULT_SCHEDULE:
+        exact = (2.0 / 3.0) * (math.log(eps) + 1.0 / eps - 1.0)
+        assert _massless_standoff(eps) == pytest.approx(exact, rel=1e-12)

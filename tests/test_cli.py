@@ -77,6 +77,20 @@ def test_self_energy_without_photon_mass(tmp_path):
                "--mu", "0", "--eps-steps", "2") == 2
 
 
+def test_non_finite_mass_is_validation_error(tmp_path):
+    assert run(tmp_path, "self-energy", "--m", "inf") == 2
+    assert run(tmp_path, "adiabatic-sweep", "--m", "inf", "--eps-steps", "2") == 2
+    assert run(tmp_path, "vacuum-pol", "--m", "nan") == 2
+    assert run(tmp_path, "self-energy", "--m", "1", "--mu", "nan") == 2
+
+
+def test_shell_constants_at_the_threshold_are_numeric_failure(tmp_path):
+    # (1 + 1e-300)^2 rounds to 1: the shell point is the threshold point
+    assert run(tmp_path, "self-energy", "--m", "1", "--mu", "1e-300") == 3
+    assert run(tmp_path, "adiabatic-sweep", "--m", "1", "--mu", "1e-300",
+               "--eps-steps", "2") == 3
+
+
 def test_sweep_on_shell_and_off_shell(tmp_path):
     assert run(tmp_path, "adiabatic-sweep", "--channel", "Sigma_into_psi",
                "--eps-steps", "8") == 0
@@ -100,6 +114,13 @@ def test_fock_check(tmp_path):
     assert report["max_deviation"]["bose"] <= 1e-12
     assert report["max_deviation"]["fermi"] <= 1e-12
     assert run(tmp_path, "fock-check", "--grid-modes", "50") == 2
+
+
+def test_fock_check_rejects_empty_grid_and_cutoff(tmp_path):
+    for flag, value in (("--grid-modes", "0"), ("--grid-modes", "-2"),
+                        ("--cutoff", "0"), ("--cutoff", "-1")):
+        assert run(tmp_path, "fock-check", flag, value) == 2
+    assert not (tmp_path / "fock_check.json").exists()
 
 
 def test_wick_expand_and_cap(tmp_path):

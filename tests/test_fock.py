@@ -55,6 +55,8 @@ def test_commutator_check_small_grids():
     for stat in (BOSE, FERMI):
         dev = commutator_check(uniform_grid(4, statistic=stat), cutoff=3)
         assert dev <= 1e-12
+    with pytest.raises(ValueError):  # an empty check would report 0.0
+        commutator_check(uniform_grid(2), cutoff=0)
 
 
 def test_grid_inner_and_krein():

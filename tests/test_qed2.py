@@ -166,6 +166,8 @@ def test_on_shell_self_energy(se):
     report = check_on_shell(se, tol=1e-8)
     assert report["all_pass"]
     assert se.photon_mass == pytest.approx(M / 10.0)
+    # the subtraction factor alone zeroes the dispersion term at the anchor
+    assert (se.a(M * M), se.b(M * M)) == se.constants
 
 
 def test_injected_constants_shift_residuals():
@@ -200,6 +202,16 @@ def test_massless_rejections():
         build_vacuum_polarization(0.0, normalization=(0.1, 0.2))
     with pytest.raises(MasslessNormalizationError):
         build_self_energy(0.0)
+
+
+def test_builders_reject_non_finite_masses():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            build_vacuum_polarization(bad)
+        with pytest.raises(ValueError):
+            build_self_energy(bad)
+        with pytest.raises(ValueError):
+            build_self_energy(M, photon_mass=bad, normalization=(0.0, 0.0))
 
 
 def test_self_energy_without_photon_mass_is_rejected_on_shell():

@@ -1,9 +1,12 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from causalqed.distributions import CausalDistribution, propagator_distribution
 from causalqed.splitting import (SplitInputError, SplitSpec,
-                                 ambiguity_dimension,
+                                 ambiguity_dimension, dispersion,
                                  order_preservation_check,
                                  polynomial_fit_residual,
                                  reconstruction_residual, split, toy_causal,
@@ -82,3 +85,38 @@ def test_order_preservation():
 def test_toy_power_validation():
     with pytest.raises(ValueError):
         toy_causal(-1)
+
+
+def _half_line_transform(z, thr, s0):
+    """(1/pi) int_thr^inf ds' / ((s' - s0)(s' - z)) by partial fractions.
+
+    Principal log off the cut; on the cut the boundary value from above
+    takes log(thr - z - i0) = log|z - thr| - i pi.
+    """
+    if z.imag == 0.0 and z.real > thr:
+        log_z = math.log(z.real - thr) - 1j * math.pi
+    else:
+        log_z = cmath.log(thr - z)
+    return -(log_z - math.log(thr - s0)) / (math.pi * (z - s0))
+
+
+def test_dispersion_matches_closed_form_on_half_line():
+    thr, s0 = 1.0, 0.5
+    density = lambda sp: 1.0 / (sp - s0)
+    below = (-3.0, 0.2, 0.9)
+    planes = (2.0 + 1.0j, 2.0 - 1.0j, -1.0 + 0.5j, 0.5 + 1e-3j)
+    cut = (1.0001, 1.5, 4.0, 30.0)
+    for z in below + planes + cut:
+        exact = _half_line_transform(complex(z), thr, s0)
+        assert abs(dispersion(density, z, thr) - exact) <= 1e-12 * abs(exact)
+    assert all(isinstance(dispersion(density, z, thr), float) for z in below)
+    with pytest.raises(ArithmeticError):
+        dispersion(density, thr, thr)
+
+
+def test_dispersion_matches_closed_form_on_whole_line():
+    # (1/pi) int ds' / ((1 + s'^2)(s' - z)) = -1/(z + i) above, 1/(i - z) below
+    density = lambda sp: 1.0 / (1.0 + sp * sp)
+    for z in (-2.0, 0.0, 0.3, 5.0, 2.0 + 1.0j, -1.0 - 0.5j):
+        exact = 1.0 / (1j - z) if complex(z).imag < 0 else -1.0 / (z + 1j)
+        assert dispersion(density, z) == pytest.approx(exact, rel=1e-12)
