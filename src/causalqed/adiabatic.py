@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .fock import DiscreteKernel, MomentumGrid
+from .fock import DiscreteKernel, MomentumGrid, _check_kernel
 from .qed2 import SelfEnergy, VacuumPolarization, causal_imaginary_part
 from .splitting import dispersion
 
@@ -301,53 +301,29 @@ def product_of_limits(kernelA: DiscreteKernel, kernelB: DiscreteKernel,
     product: the tensor-product kernel (no contraction) first, then one
     term per injective matching of A-annihilation slots with B-creation
     slots, each contracted index pair summed with one quadrature weight
-    (from the delta_ij / w_i pairing).
+    (from the delta_ij / w_i pairing).  Each term is one einsum; its slots
+    are A's creations, B's uncontracted creations, A's uncontracted
+    annihilations, then B's annihilations.
     """
     if any(grid.is_fermi(i) for i in range(grid.n_modes)):
         raise NotImplementedError("kernel composition implemented for Bose grids")
-    nm = grid.n_modes
     for K in (kernelA, kernelB):
-        if K.l + K.m > 0 and K.values.shape != (nm,) * (K.l + K.m):
-            raise ValueError("kernel shape does not match the grid")
-    w = grid.weights
+        _check_kernel(K, grid)
+    la, ma, lb, mb = kernelA.l, kernelA.m, kernelB.l, kernelB.m
+    a_axes = list(range(la + ma))
     terms = []
-    ann_slots = list(range(kernelA.m))  # annihilation slots of A
-    cre_slots = list(range(kernelB.l))  # creation slots of B
-    for csize in range(0, min(len(ann_slots), len(cre_slots)) + 1):
-        for asel in itertools.combinations(ann_slots, csize):
-            for bperm in itertools.permutations(cre_slots, csize):
-                a_keep = [s for s in ann_slots if s not in asel]
-                b_keep = [s for s in cre_slots if s not in bperm]
-                l_new = kernelA.l + len(b_keep)
-                m_new = len(a_keep) + kernelB.m
-                shape = (nm,) * (l_new + m_new)
-                vals = np.zeros(shape if shape else (), dtype=complex)
-                for idx in itertools.product(range(nm), repeat=l_new + m_new):
-                    pa = idx[:kernelA.l]
-                    pb_keep = idx[kernelA.l:kernelA.l + len(b_keep)]
-                    qa_keep = idx[l_new:l_new + len(a_keep)]
-                    qb = idx[l_new + len(a_keep):]
-                    total = 0.0 + 0.0j
-                    for contracted in itertools.product(range(nm), repeat=csize):
-                        a_idx = [None] * kernelA.m
-                        for s, j in zip(asel, contracted):
-                            a_idx[s] = j
-                        for s, j in zip(a_keep, qa_keep):
-                            a_idx[s] = j
-                        b_idx = [None] * kernelB.l
-                        for s, j in zip(bperm, contracted):
-                            b_idx[s] = j
-                        for s, j in zip(b_keep, pb_keep):
-                            b_idx[s] = j
-                        weight = np.prod([w[j] for j in contracted]) if csize else 1.0
-                        va = kernelA.values[tuple(pa) + tuple(a_idx)] \
-                            if kernelA.l + kernelA.m else complex(kernelA.values)
-                        vb = kernelB.values[tuple(b_idx) + tuple(qb)] \
-                            if kernelB.l + kernelB.m else complex(kernelB.values)
-                        total += weight * va * vb
-                    if shape:
-                        vals[idx] = total
-                    else:
-                        vals = np.asarray(total)
-                terms.append(DiscreteKernel(l_new, m_new, vals))
+    for csize in range(min(ma, lb) + 1):
+        for asel in itertools.combinations(range(ma), csize):
+            for bperm in itertools.permutations(range(lb), csize):
+                b_axes = list(range(la + ma, la + ma + lb + mb))
+                for s, t in zip(asel, bperm):
+                    b_axes[t] = a_axes[la + s]
+                a_keep = [a_axes[la + s] for s in range(ma) if s not in asel]
+                b_keep = [b_axes[t] for t in range(lb) if t not in bperm]
+                operands = [kernelA.values, a_axes, kernelB.values, b_axes]
+                for s in asel:
+                    operands += [grid.weights, [a_axes[la + s]]]
+                out = a_axes[:la] + b_keep + a_keep + b_axes[lb:]
+                terms.append(DiscreteKernel(la + len(b_keep), len(a_keep) + mb,
+                                            np.einsum(*operands, out)))
     return terms

@@ -8,13 +8,19 @@ states below the particle-number cutoff.  Kernel operators with l
 creation and m annihilation slots are evaluated through the dual
 pairing against the function eta(p_1..p_l, q_1..q_m) built from ladder
 operators.
+
+States are dicts from occupation tuples to amplitudes at the boundary.
+Inside, operators act on vectors over the occupation basis up to the
+cutoff, enumerated once per (Bose/Fermi pattern, cutoff) and cached with
+one creation index table per mode.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,18 +47,23 @@ class MomentumGrid:
     krein: np.ndarray = None  # per-mode sign, all +1 unless Gupta-Bleuler modes
 
     def __post_init__(self):
+        n = len(self.points)
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.krein is None:
-            self.krein = np.ones(len(self.points))
-        self.krein = np.asarray(self.krein, dtype=float)
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
+        self.krein = np.ones(n) if self.krein is None else np.asarray(self.krein, dtype=float)
+        if self.weights.shape != (n,):
+            raise ValueError("need one quadrature weight per grid point")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise ValueError("quadrature weights must be positive and finite")
+        if self.krein.shape != (n,) or not np.all(np.abs(self.krein) == 1.0):
+            raise ValueError("need one Krein sign, +1 or -1, per grid point")
         keys = [(p.momentum, p.spin, p.field) for p in self.points]
         if len(set(keys)) != len(keys):
             raise ValueError("grid points must be distinct (momentum, spin, field) triples")
         for p in self.points:
             if p.field not in self.statistics:
                 raise ValueError(f"no statistics entry for field {p.field!r}")
+        if not set(self.statistics.values()) <= {BOSE, FERMI}:
+            raise ValueError(f"statistics must be {BOSE!r} or {FERMI!r}")
 
     @property
     def n_modes(self) -> int:
@@ -100,13 +111,6 @@ class FockGridState:
     cutoff: int
     amplitudes: dict = field(default_factory=dict)  # tuple occupation -> complex
 
-    def cleaned(self, tol=0.0):
-        amps = {c: a for c, a in self.amplitudes.items() if abs(a) > tol}
-        return FockGridState(self.grid, self.cutoff, amps)
-
-    def norm2(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
-
     def scaled(self, z) -> "FockGridState":
         return FockGridState(self.grid, self.cutoff, {c: z * a for c, a in self.amplitudes.items()})
 
@@ -114,7 +118,7 @@ class FockGridState:
         amps = dict(self.amplitudes)
         for c, a in other.amplitudes.items():
             amps[c] = amps.get(c, 0.0) + a
-        return FockGridState(self.grid, self.cutoff, amps).cleaned()
+        return FockGridState(self.grid, self.cutoff, {c: a for c, a in amps.items() if a != 0})
 
     def to_json(self) -> str:
         rows = sorted(
@@ -133,62 +137,95 @@ def vacuum_state(grid: MomentumGrid, cutoff: int) -> FockGridState:
     return FockGridState(grid, cutoff, {tuple([0] * grid.n_modes): 1.0 + 0.0j})
 
 
-def zero_state(grid: MomentumGrid, cutoff: int) -> FockGridState:
-    return FockGridState(grid, cutoff, {})
+class _Basis(NamedTuple):
+    cutoff: int
+    configs: tuple  # occupation tuples in lexicographic order
+    index: dict  # occupation tuple -> position in configs
+    occupations: np.ndarray  # (len(configs), n_modes)
+    full: np.ndarray  # positions at total == cutoff, where creation truncates
+    tables: tuple  # per mode (src, dst, factor) of a+(mode), before 1/sqrt(w)
 
 
-def _jw_sign(config, mode, grid):
-    """Jordan-Wigner string over fermionic modes left of `mode`."""
-    s = 1
-    for j in range(mode):
-        if grid.is_fermi(j) and config[j] % 2 == 1:
-            s = -s
-    return s
+@functools.lru_cache(maxsize=16)
+def _occupation_basis(fermi: tuple, cutoff: int) -> _Basis:
+    """Occupation basis with total <= cutoff; a+(mode) has the factor
+    sqrt(n + 1) on a Bose mode and the Jordan-Wigner sign over the occupied
+    Fermi modes to its left on a Fermi mode.  1/sqrt(w) is applied at use,
+    so grids that differ only in their weights share the tables."""
+    configs = [()]
+    for is_fermi in fermi:
+        configs = [c + (k,) for c in configs for k in range(2 if is_fermi else cutoff + 1)
+                   if sum(c) + k <= cutoff]
+    index = {c: k for k, c in enumerate(configs)}
+    occ = np.array(configs, dtype=int).reshape(len(configs), len(fermi))
+    total = occ.sum(axis=1)
+    fermi_occ = occ * np.array(fermi, dtype=int)
+    jw_sign = 1.0 - 2.0 * ((np.cumsum(fermi_occ, axis=1) - fermi_occ) % 2)
+    tables = []
+    for mode, is_fermi in enumerate(fermi):
+        src = np.flatnonzero((total < cutoff) & ((occ[:, mode] == 0) | (not is_fermi)))
+        dst = np.array([index[configs[k][:mode] + (configs[k][mode] + 1,) + configs[k][mode + 1:]]
+                        for k in src], dtype=int)
+        factor = jw_sign[src, mode] if is_fermi else np.sqrt(occ[src, mode] + 1.0)
+        tables.append((src, dst, factor))
+    return _Basis(cutoff, tuple(configs), index, occ, np.flatnonzero(total == cutoff),
+                  tuple(tables))
+
+
+def _basis(grid: MomentumGrid, cutoff: int) -> _Basis:
+    return _occupation_basis(tuple(grid.is_fermi(i) for i in range(grid.n_modes)), cutoff)
+
+
+def _basis_configs(grid, max_total):
+    """All occupation configurations with total particle number <= max_total."""
+    return list(_basis(grid, max_total).configs)
+
+
+def _vector(state: FockGridState, basis: _Basis) -> np.ndarray:
+    v = np.zeros(len(basis.configs), dtype=complex)
+    for config, amp in state.amplitudes.items():
+        k = basis.index.get(config)
+        if k is None:
+            raise ValueError(f"{config} is no occupation of at most {basis.cutoff} particles")
+        v[k] = amp
+    return v
+
+
+def _state(like: FockGridState, basis: _Basis, v: np.ndarray) -> FockGridState:
+    nz = np.flatnonzero(v)
+    return FockGridState(like.grid, like.cutoff,
+                         dict(zip([basis.configs[k] for k in nz], v[nz].tolist())))
+
+
+def _bra(phi: FockGridState, basis: _Basis, krein: bool) -> np.ndarray:
+    """Amplitudes of phi, times prod_j krein_j^n_j per configuration if krein."""
+    v = _vector(phi, basis)
+    return v * np.prod(phi.grid.krein ** basis.occupations, axis=1) if krein else v
+
+
+def _ladder(basis: _Basis, grid: MomentumGrid, mode: int, x: np.ndarray,
+            create: bool) -> np.ndarray:
+    """a+(mode) if create else a(mode) on the last axis of x."""
+    src, dst, factor = basis.tables[mode]
+    factor = factor / np.sqrt(grid.weights[mode])
+    out = np.zeros_like(x)
+    if not create:
+        out[..., src] = x[..., dst] * factor
+    elif np.any(x[..., basis.full]):
+        raise TruncationError(f"creation exceeds particle-number cutoff {basis.cutoff}")
+    else:
+        out[..., dst] = x[..., src] * factor
+    return out
 
 
 def apply_creation(mode: int, state: FockGridState) -> FockGridState:
-    grid = state.grid
-    w = grid.weights[mode]
-    out = {}
-    for config, amp in state.amplitudes.items():
-        if amp == 0:
-            continue
-        n_tot = sum(config)
-        if n_tot >= state.cutoff:
-            raise TruncationError(
-                f"creation on mode {mode} exceeds particle-number cutoff {state.cutoff}"
-            )
-        n = config[mode]
-        if grid.is_fermi(mode):
-            if n == 1:
-                continue  # Pauli exclusion
-            factor = _jw_sign(config, mode, grid) / np.sqrt(w)
-        else:
-            factor = np.sqrt(n + 1) / np.sqrt(w)
-        new = list(config)
-        new[mode] = n + 1
-        key = tuple(new)
-        out[key] = out.get(key, 0.0) + amp * factor
-    return FockGridState(grid, state.cutoff, out).cleaned()
+    basis = _basis(state.grid, state.cutoff)
+    return _state(state, basis, _ladder(basis, state.grid, mode, _vector(state, basis), True))
 
 
 def apply_annihilation(mode: int, state: FockGridState) -> FockGridState:
-    grid = state.grid
-    w = grid.weights[mode]
-    out = {}
-    for config, amp in state.amplitudes.items():
-        n = config[mode]
-        if n == 0:
-            continue
-        if grid.is_fermi(mode):
-            factor = _jw_sign(config, mode, grid) / np.sqrt(w)
-        else:
-            factor = np.sqrt(n) / np.sqrt(w)
-        new = list(config)
-        new[mode] = n - 1
-        key = tuple(new)
-        out[key] = out.get(key, 0.0) + amp * factor
-    return FockGridState(grid, state.cutoff, out).cleaned()
+    basis = _basis(state.grid, state.cutoff)
+    return _state(state, basis, _ladder(basis, state.grid, mode, _vector(state, basis), False))
 
 
 def basis_state(grid: MomentumGrid, cutoff: int, modes) -> FockGridState:
@@ -205,19 +242,8 @@ def grid_inner(phi: FockGridState, psi: FockGridState, krein: bool = False):
     With krein=True each configuration carries the product of per-mode
     Krein signs raised to the occupation numbers.
     """
-    total = 0.0 + 0.0j
-    signs = phi.grid.krein
-    for config, a in phi.amplitudes.items():
-        b = psi.amplitudes.get(config)
-        if b is None:
-            continue
-        s = 1.0
-        if krein:
-            for j, n in enumerate(config):
-                if n and signs[j] < 0:
-                    s *= (-1.0) ** n
-        total += np.conj(a) * b * s
-    return total
+    basis = _basis(phi.grid, max(phi.cutoff, psi.cutoff))
+    return complex(np.vdot(_bra(phi, basis, krein), _vector(psi, basis)))
 
 
 def eta_pairing(l: int, m: int, modes, phi: FockGridState, psi: FockGridState,
@@ -254,86 +280,87 @@ class DiscreteKernel:
             raise ValueError("kernel array rank must equal l + m")
 
 
+def _check_kernel(kernel: DiscreteKernel, grid: MomentumGrid):
+    if kernel.values.shape != (grid.n_modes,) * (kernel.l + kernel.m):
+        raise ValueError("kernel shape does not match the grid")
+
+
+def _weighted(kernel: DiscreteKernel, grid: MomentumGrid) -> np.ndarray:
+    """Kernel values times the quadrature weight of every slot."""
+    slots = kernel.l + kernel.m
+    return kernel.values * functools.reduce(np.multiply.outer, [grid.weights] * slots, 1.0)
+
+
 def xi_matrix_element(kernel: DiscreteKernel, phi: FockGridState, psi: FockGridState,
                       krein: bool = False):
-    """Matrix element of Xi(kernel): quadrature-weighted sum of kernel * eta."""
-    grid = phi.grid
-    n = grid.n_modes
-    if kernel.l + kernel.m > 0 and kernel.values.shape != (n,) * (kernel.l + kernel.m):
-        raise ValueError("kernel shape does not match the grid")
-    if kernel.l == 0 and kernel.m == 0:
-        return complex(kernel.values) * grid_inner(phi, psi, krein=krein)
-    total = 0.0 + 0.0j
-    w = grid.weights
-    for tup in itertools.product(range(n), repeat=kernel.l + kernel.m):
-        kval = kernel.values[tup]
-        if kval == 0:
-            continue
-        weight = np.prod(w[list(tup)])
-        total += weight * kval * eta_pairing(kernel.l, kernel.m, tup, phi, psi, krein=krein)
-    return total
+    """Matrix element of Xi(kernel): quadrature-weighted sum of kernel * eta.
+
+    eta(p, q) = <a(p_l)..a(p_1) Phi', a(q_1)..a(q_m) Psi>, Phi' = phi times
+    its Krein signs if krein: the creation string acts on phi as its
+    adjoint, so no operator reaches past the cutoff.
+    """
+    grid, n = phi.grid, phi.grid.n_modes
+    _check_kernel(kernel, grid)
+    basis = _basis(grid, max(phi.cutoff, psi.cutoff))
+    left = _bra(phi, basis, krein)
+    right = _vector(psi, basis)
+    for _ in range(kernel.l):  # a(p_1) acts first; p_k indexes the k-th axis
+        left = np.stack([_ladder(basis, grid, j, left, False) for j in range(n)], axis=-2)
+    for _ in range(kernel.m):  # a(q_m) acts first; q_k indexes the k-th axis
+        right = np.stack([_ladder(basis, grid, j, right, False) for j in range(n)])
+    eta = left.reshape(n ** kernel.l, -1).conj() @ right.reshape(n ** kernel.m, -1).T
+    return complex(np.sum(_weighted(kernel, grid).reshape(eta.shape) * eta))
 
 
 def apply_kernel(kernel: DiscreteKernel, state: FockGridState) -> FockGridState:
-    """Apply Xi(kernel) to a state: sum over grid tuples with weights."""
-    grid = state.grid
-    n = grid.n_modes
-    w = grid.weights
-    out = zero_state(grid, state.cutoff)
-    if kernel.l == 0 and kernel.m == 0:
+    """Apply Xi(kernel) to a state: sum over grid tuples with weights.
+
+    The kernel slots are contracted one at a time from the right, so the
+    largest intermediate holds n_modes^(l + m - 1) state vectors.
+    """
+    grid, n = state.grid, state.grid.n_modes
+    _check_kernel(kernel, grid)
+    slots = kernel.l + kernel.m
+    if slots == 0:
         return state.scaled(complex(kernel.values))
-    for tup in itertools.product(range(n), repeat=kernel.l + kernel.m):
-        kval = kernel.values[tup]
-        if kval == 0:
-            continue
-        st = state
-        for q in reversed(tup[kernel.l:]):
-            st = apply_annihilation(q, st)
-        for p in reversed(tup[:kernel.l]):
-            st = apply_creation(p, st)
-        weight = np.prod(w[list(tup)])
-        out = out + st.scaled(weight * kval)
-    return out
-
-
-def _basis_configs(grid, max_total):
-    """All occupation configurations with total particle number <= max_total."""
-    n = grid.n_modes
-    configs = []
-
-    def rec(i, remaining, acc):
-        if i == n:
-            configs.append(tuple(acc))
-            return
-        top = min(1, remaining) if grid.is_fermi(i) else remaining
-        for k in range(top + 1):
-            rec(i + 1, remaining - k, acc + [k])
-
-    rec(0, max_total, [])
-    return configs
+    basis = _basis(grid, state.cutoff)
+    v = _vector(state, basis)
+    x = _weighted(kernel, grid).reshape(-1, n) @ np.stack(
+        [_ladder(basis, grid, j, v, kernel.m == 0) for j in range(n)])
+    for slot in reversed(range(slots - 1)):
+        x = x.reshape(n ** slot, n, -1)
+        x = sum(_ladder(basis, grid, j, x[:, j], slot < kernel.l) for j in range(n))
+    return _state(state, basis, x[0])
 
 
 def commutator_check(grid: MomentumGrid, cutoff: int = 3) -> float:
     """Max deviation of [a_i, a_j^+]-+ from delta_ij / w_i below the cutoff.
 
     Anticommutator for fermi-fermi pairs, commutator otherwise; evaluated
-    on every occupation basis state with total number <= cutoff - 1.
+    on every occupation basis state with total number <= cutoff - 1, for
+    all (i, j) at once.  Each ladder maps a basis state to one basis state,
+    so the creation tables become index maps with a zero sink at the end.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1: no basis state lies below it")
-    worst = 0.0
-    configs = _basis_configs(grid, cutoff - 1)
-    for i in range(grid.n_modes):
-        for j in range(grid.n_modes):
-            fermi_pair = grid.is_fermi(i) and grid.is_fermi(j)
-            sign = 1.0 if fermi_pair else -1.0
-            expected = (1.0 / grid.weights[i]) if i == j else 0.0
-            for config in configs:
-                st = FockGridState(grid, cutoff, {config: 1.0 + 0.0j})
-                term1 = apply_annihilation(i, apply_creation(j, st))
-                term2 = apply_creation(j, apply_annihilation(i, st)).scaled(sign)
-                combo = term1 + term2
-                ref = st.scaled(expected)
-                diff = combo + ref.scaled(-1.0)
-                worst = max(worst, np.sqrt(diff.norm2()))
-    return worst
+    basis = _basis(grid, cutoff)
+    n, sink = grid.n_modes, len(basis.configs)
+    up, down = np.full((2, n, sink + 1), sink)
+    f_up, f_down = np.zeros((2, n, sink + 1))
+    for j, (src, dst, factor) in enumerate(basis.tables):
+        f = factor / np.sqrt(grid.weights[j])
+        up[j, src], f_up[j, src] = dst, f
+        down[j, dst], f_down[j, dst] = src, f
+    cols = np.flatnonzero(basis.occupations.sum(axis=1) < cutoff)
+    # axes (i, j, column): a_i a_j^+ lands on d with t1, a_j^+ a_i on e with t2
+    d, t1 = down[:, up[:, cols]], f_down[:, up[:, cols]] * f_up[:, cols]
+    e = up[:, down[:, cols]].transpose(1, 0, 2)
+    fermi = np.array([grid.is_fermi(i) for i in range(n)])
+    sign = np.where(np.outer(fermi, fermi), 1.0, -1.0)[:, :, None]
+    t2 = sign * f_up[:, down[:, cols]].transpose(1, 0, 2) * f_down[:, cols][:, None, :]
+    expected = np.diag(1.0 / grid.weights)[:, :, None]
+    c = cols[None, None, :]
+    at_d = t1 + np.where(e == d, t2, 0.0) - np.where(d == c, expected, 0.0)
+    at_e = np.where(e != d, t2, 0.0) - np.where((e != d) & (e == c), expected, 0.0)
+    at_c = np.where((d != c) & (e != c), expected, 0.0)
+    return float(np.sqrt(np.max(at_d ** 2 + at_e ** 2 + at_c ** 2)))

@@ -259,10 +259,11 @@ def check_on_shell(obj, tol: float = 1e-8) -> dict:
                       "pass": r2 <= tol})
     elif isinstance(obj, SelfEnergy):
         m = obj.m
-        r1 = abs(obj.shell_combination())
+        b_shell = obj.b(m * m)
+        r1 = abs(obj.a(m * m) + m * b_shell)
         conds.append({"name": "a(m^2) + m b(m^2) = 0", "residual": float(r1),
                       "pass": r1 <= tol})
-        r2 = abs(2.0 * m * obj.a_prime_shell() + obj.b(m * m)
+        r2 = abs(2.0 * m * obj.a_prime_shell() + b_shell
                  + 2.0 * m * m * obj.b_prime_shell())
         conds.append({"name": "2m a' + b + 2m^2 b' = 0 at m^2",
                       "residual": float(r2), "pass": r2 <= tol})

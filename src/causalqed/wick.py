@@ -102,9 +102,6 @@ class WickMonomial:
     factors: tuple  # sorted tuple of Factor
     legs: tuple  # normal-ordered tuple of FieldLeg
 
-    def signature(self):
-        return (self.factors, self.legs)
-
 
 class WickPolynomial:
     """Finite sum of normal-ordered monomials, merged on construction.
@@ -187,9 +184,6 @@ class WickPolynomial:
             new_legs = tuple(FieldLeg(l.field, l.character, ren(l.slot), l.index) for l in legs)
             out.append(WickMonomial(c, new_factors, new_legs))
         return WickPolynomial(out)
-
-    def max_total_legs(self):
-        return max((len(legs) for _, legs in self._terms), default=0)
 
     def to_json(self) -> str:
         rows = []

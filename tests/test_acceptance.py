@@ -341,24 +341,26 @@ def test_criterion_11_product_of_limits_matches_composition():
     from causalqed.adiabatic import product_of_limits
     rng = np.random.default_rng(9)
     grid = uniform_grid(4, statistic=BOSE)
-    cutoff = 4
+    cutoff = 4  # headroom: a (2,1) kernel on a 2-particle state makes 3
     nm = grid.n_modes
-    A = DiscreteKernel(1, 1, rng.normal(size=(nm, nm))
-                       + 1j * rng.normal(size=(nm, nm)))
-    B = DiscreteKernel(1, 1, rng.normal(size=(nm, nm))
-                       + 1j * rng.normal(size=(nm, nm)))
-    terms = product_of_limits(A, B, grid)
-    # the first (tensor-product) term has no contracted slots
-    assert (terms[0].l, terms[0].m) == (2, 2)
-    assert np.allclose(
-        terms[0].values,
-        np.einsum("ij,kl->ikjl", A.values, B.values))
-
     configs = _basis_configs(grid, 2)
     amps_phi = {c: complex(*rng.normal(size=2)) for c in configs}
     amps_psi = {c: complex(*rng.normal(size=2)) for c in configs}
     phi_s = FockGridState(grid, cutoff, amps_phi)
     psi_s = FockGridState(grid, cutoff, amps_psi)
-    composed = grid_inner(phi_s, apply_kernel(A, apply_kernel(B, psi_s)))
-    summed = sum(xi_matrix_element(t, phi_s, psi_s) for t in terms)
-    assert abs(summed - composed) <= 1e-10 * max(abs(composed), 1.0)
+    for (al, am), (bl, bm) in (((1, 1), (1, 1)), ((1, 2), (2, 1)),
+                               ((2, 1), (1, 2)), ((2, 2), (2, 2))):
+        A = DiscreteKernel(al, am, rng.normal(size=(nm,) * (al + am))
+                           + 1j * rng.normal(size=(nm,) * (al + am)))
+        B = DiscreteKernel(bl, bm, rng.normal(size=(nm,) * (bl + bm))
+                           + 1j * rng.normal(size=(nm,) * (bl + bm)))
+        terms = product_of_limits(A, B, grid)
+        # the first (tensor-product) term has no contracted slots
+        assert (terms[0].l, terms[0].m) == (al + bl, am + bm)
+        if (al, am, bl, bm) == (1, 1, 1, 1):
+            assert np.allclose(
+                terms[0].values,
+                np.einsum("ij,kl->ikjl", A.values, B.values))
+        composed = grid_inner(phi_s, apply_kernel(A, apply_kernel(B, psi_s)))
+        summed = sum(xi_matrix_element(t, phi_s, psi_s) for t in terms)
+        assert abs(summed - composed) <= 1e-10 * max(abs(composed), 1.0)

@@ -1,11 +1,17 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalqed.fock import (BOSE, FERMI, DiscreteKernel, FockGridState,
-                            MomentumGrid, TruncationError, apply_annihilation,
-                            apply_creation, apply_kernel, basis_state,
-                            commutator_check, eta_pairing, grid_inner,
-                            uniform_grid, vacuum_state, xi_matrix_element)
+                            GridPoint, MomentumGrid, TruncationError,
+                            _basis_configs, apply_annihilation, apply_creation,
+                            apply_kernel, basis_state, commutator_check,
+                            eta_pairing, grid_inner, uniform_grid,
+                            vacuum_state, xi_matrix_element)
 
 
 def test_creation_matrix_elements_bose():
@@ -33,6 +39,10 @@ def test_truncation_error():
     st = basis_state(grid, cutoff=2, modes=[0, 0])
     with pytest.raises(TruncationError):
         apply_creation(0, st)
+    for l, m in ((1, 0), (2, 1)):  # a kernel that creates past the cutoff
+        kernel = DiscreteKernel(l, m, np.ones((2,) * (l + m)))
+        with pytest.raises(TruncationError):
+            apply_kernel(kernel, st)
 
 
 def test_pauli_exclusion():
@@ -94,6 +104,14 @@ def test_xi_matrix_element_against_apply_kernel():
 def test_kernel_rank_validation():
     with pytest.raises(ValueError):
         DiscreteKernel(1, 1, np.zeros(3))
+    # a kernel of a 4-mode grid on a 3-mode grid, by either route
+    grid = uniform_grid(3)
+    psi = basis_state(grid, 3, modes=[0])
+    kernel = DiscreteKernel(1, 1, np.ones((4, 4)))
+    with pytest.raises(ValueError):
+        apply_kernel(kernel, psi)
+    with pytest.raises(ValueError):
+        xi_matrix_element(kernel, psi, psi)
 
 
 def test_grid_json_roundtrip():
@@ -116,3 +134,74 @@ def test_grid_rejects_duplicates_and_bad_weights():
                      np.append(grid.weights, 1.0), grid.statistics)
     with pytest.raises(ValueError):
         MomentumGrid(grid.points, [1.0, -1.0], grid.statistics)
+
+
+@pytest.mark.parametrize("change", [
+    {"weights": [0.5, 0.5]},
+    {"weights": [0.5, float("nan"), 0.5]},
+    {"krein": [1.0, -1.0]},
+    {"krein": [1.0, 0.5, 1.0]},
+    {"statistics": {"scalar": "fermion"}},
+])
+def test_grid_rejects_malformed_input(change):
+    obj = json.loads(uniform_grid(3).to_json())
+    obj.update(change)
+    with pytest.raises(ValueError):
+        MomentumGrid.from_json(json.dumps(obj))
+
+
+def test_configuration_outside_the_basis_is_rejected():
+    grid = uniform_grid(2)
+    beyond = FockGridState(grid, 2, {(3, 0): 1.0 + 0.0j})
+    with pytest.raises(ValueError):
+        apply_annihilation(0, beyond)
+
+
+@st.composite
+def mixed_grids(draw):
+    n = draw(st.integers(1, 5))
+    fermi = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    krein = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    points = [GridPoint((float(i), 0.0, 0.0), 0, "psi" if f else "phi")
+              for i, f in enumerate(fermi)]
+    grid = MomentumGrid(points, weights, {"phi": BOSE, "psi": FERMI}, krein)
+    cutoff = draw(st.integers(1, 3))
+    config = draw(st.sampled_from(_basis_configs(grid, cutoff)))
+    return grid, cutoff, config, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(mixed_grids())
+def test_single_ladder_amplitudes_on_mixed_grids(case):
+    grid, cutoff, config, mode = case
+    fermi = [grid.is_fermi(j) for j in range(grid.n_modes)]
+    # a Fermi ladder carries the Jordan-Wigner sign over the occupied
+    # fermionic modes left of `mode`; a Bose ladder commutes with all others
+    sign = (-1) ** sum(config[j] for j in range(mode) if fermi[j]) if fermi[mode] else 1
+    state = FockGridState(grid, cutoff, {config: 1.0 + 0.0j})
+    w = grid.weights[mode]
+
+    lowered = list(config)
+    lowered[mode] -= 1
+    got = apply_annihilation(mode, state).amplitudes
+    if config[mode] == 0:
+        assert got == {}
+    else:
+        assert got == {tuple(lowered): pytest.approx(sign * math.sqrt(config[mode]) / math.sqrt(w),
+                                                     rel=1e-14)}
+
+    if sum(config) == cutoff:
+        with pytest.raises(TruncationError):
+            apply_creation(mode, state)
+    else:
+        raised = list(config)
+        raised[mode] += 1
+        got = apply_creation(mode, state).amplitudes
+        if fermi[mode] and config[mode] == 1:
+            assert got == {}
+        else:
+            assert got == {tuple(raised): pytest.approx(
+                sign * math.sqrt(config[mode] + 1) / math.sqrt(w), rel=1e-14)}
+
+    assert commutator_check(grid, cutoff) <= 1e-12 / float(np.min(grid.weights))
