@@ -22,7 +22,7 @@ from .fock import commutator_check, uniform_grid
 from .induction import LatticeToy, OrderData, extend_series
 from .qed2 import build_self_energy, build_vacuum_polarization, check_on_shell
 from .splitting import (SplitInputError, SplitSpec, ambiguity_dimension,
-                        split, toy_causal)
+                        reconstruction_residual, split, toy_causal)
 from .wick import scalar_vertex
 
 EXIT_OK = 0
@@ -119,14 +119,10 @@ def cmd_split(args) -> int:
     try:
         Es = np.linspace(-6.0, 6.0, 25)
         rows = []
-        worst = 0.0
-        scale = 0.0
         for E in Es:
             dv = complex(d.eval_fn(E))
             rv = complex(result.retarded.eval_fn(E))
             av = complex(result.advanced.eval_fn(E))
-            worst = max(worst, abs(rv - av - dv))
-            scale = max(scale, abs(dv))
             rows.append((E, dv.real, dv.imag, rv.real, rv.imag, av.real, av.imag))
         _write_csv(os.path.join(out, "split.csv"),
                    ["E", "d_re", "d_im", "ret_re", "ret_im", "adv_re", "adv_im"], rows)
@@ -137,7 +133,7 @@ def cmd_split(args) -> int:
             "omega": omega,
             "omega_estimate": omega_est,
             "ambiguity_dimension": need,
-            "reconstruction_residual": worst / max(scale, 1e-300),
+            "reconstruction_residual": reconstruction_residual(d, result, Es),
         })
     except (ArithmeticError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,10 +162,16 @@ class SelfEnergy:
             self._subtracted(self.rho_b), s, self.threshold)
 
     def a_prime_shell(self) -> float:
-        return dispersion(self._subtracted(self.rho_a), self.m * self.m, self.threshold)
+        return self._shell_derivatives[0]
 
     def b_prime_shell(self) -> float:
-        return dispersion(self._subtracted(self.rho_b), self.m * self.m, self.threshold)
+        return self._shell_derivatives[1]
+
+    @cached_property
+    def _shell_derivatives(self) -> tuple:
+        # independent of the constants, so build_self_energy's are kept on its result
+        return tuple(dispersion(self._subtracted(rho), self.m * self.m, self.threshold)
+                     for rho in (self.rho_a, self.rho_b))
 
     def shell_combination(self) -> complex:
         """a(m^2) + m b(m^2): the dangerous on-shell coefficient."""
@@ -223,10 +230,10 @@ def build_self_energy(m: float, photon_mass: float = None,
             "admits no shell normalization point)")
     if photon_mass < 0 or (photon_mass == 0 and normalization == "on-shell"):
         raise ValueError("photon mass must be nonnegative, and positive on shell")
-    probe = SelfEnergy(m=m, photon_mass=photon_mass, constants=(0.0, 0.0))
+    se = SelfEnergy(m=m, photon_mass=photon_mass, constants=(0.0, 0.0))
     if normalization == "on-shell":
-        ap = probe.a_prime_shell()
-        bp = probe.b_prime_shell()
+        ap = se.a_prime_shell()
+        bp = se.b_prime_shell()
         # condition 2: 2m a'(m^2) + b(m^2) + 2m^2 b'(m^2) = 0 with b(m^2) = c1
         c1 = -(2.0 * m * ap + 2.0 * m * m * bp)
         # condition 1: a(m^2) + m b(m^2) = c0 + m c1 = 0
@@ -236,7 +243,8 @@ def build_self_energy(m: float, photon_mass: float = None,
         constants = tuple(float(c) for c in normalization)
         if len(constants) != 2:
             raise ValueError("custom normalization needs exactly (c0, c1)")
-    return SelfEnergy(m=m, photon_mass=photon_mass, constants=constants)
+    se.constants = constants
+    return se
 
 
 def check_on_shell(obj, tol: float = 1e-8) -> dict:

@@ -43,6 +43,17 @@ def test_split_unknown_toy_and_empty_config(tmp_path):
     assert main(["split", "--out", str(tmp_path)]) == 2  # neither toy nor descriptor
 
 
+def test_split_non_convergent_toy_is_numeric_failure(tmp_path, monkeypatch):
+    from causalqed import cli
+    from causalqed.distributions import CausalDistribution
+
+    # a kink at E = 0: its rational-basis table does not converge
+    kink = CausalDistribution(eval_fn=lambda E: 1j * (1.0 + abs(E)) / (1.0 + E * E),
+                              omega=-1, support_tag="causal")
+    monkeypatch.setitem(cli._TOYS, "kink", lambda: (kink, -1))
+    assert run(tmp_path, "split", "--toy", "kink") == 3
+
+
 def test_split_descriptor_with_wrong_support(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"descriptor": {"kind": "Dret", "mass": 1.0}}))

@@ -1,8 +1,4 @@
-"""Smoke test: each demo script runs to completion as a subprocess.
-
-`inductive_construction` is left out because it alone takes about 20 s;
-the four demos run here take a few seconds together.
-"""
+"""Smoke test: each demo script runs to completion as a subprocess."""
 
 import os
 import subprocess
@@ -15,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["split_toy_distributions", "one_loop_green_functions",
-                                  "adiabatic_limit_sweeps", "fock_grid_and_wick"])
+                                  "adiabatic_limit_sweeps", "fock_grid_and_wick",
+                                  "inductive_construction"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -107,6 +107,24 @@ def test_window_smear_gaussian_oracle():
     assert got == pytest.approx(exact, abs=1e-12)
 
 
+def test_window_smear_of_retarded_oracle_matches_closed_form_pairing():
+    # allowed side: the window sits inside t > 0, where theta(t) D_2(t) is a
+    # sum of two exponentials whose Gaussian pairings are in closed form
+    toy, k, sigma = LatticeToy(), 2, 0.1
+    cs = (k * toy.gamma + 1j * k * toy.omega0, k * toy.gamma - 1j * k * toy.omega0)
+    for t0 in (1.5, 2.0, 3.0):
+        exact = sum(sign * sigma * math.sqrt(2.0 * math.pi)
+                    * np.exp(-c * t0 + 0.5 * (c * sigma) ** 2)
+                    for sign, c in zip((1.0, -1.0), cs)) / (2.0 * toy.omega0) ** k
+        got = window_smear(lambda E: toy.retarded_hat_exact(E, k), t0, sigma)
+        assert abs(got - exact) <= 1e-12
+
+
+def test_window_smear_fails_loudly_on_an_unresolved_pole():
+    with pytest.raises(ArithmeticError):
+        window_smear(lambda E: 1.0 / (E - 3.0 + 1e-6j), 1.0, 0.1)
+
+
 def test_retarded_support_check_flags_wrong_side():
     toy = LatticeToy()
     ret = toy.retarded_hat_exact

@@ -170,6 +170,30 @@ def test_on_shell_self_energy(se):
     assert (se.a(M * M), se.b(M * M)) == se.constants
 
 
+def test_on_shell_check_reuses_the_builders_shell_derivatives(monkeypatch):
+    import causalqed.qed2 as qed2
+
+    calls = []
+    density = qed2.causal_imaginary_part
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return density(*args, **kwargs)
+
+    monkeypatch.setattr(qed2, "causal_imaginary_part", counted)
+    se = build_self_energy(M)
+    calls.clear()
+    se.a(M * M)
+    se.b(M * M)
+    values_only = len(calls)
+    calls.clear()
+    report = check_on_shell(se)
+    # only a(m^2) and b(m^2) are evaluated; a' and b' come from the builder
+    assert len(calls) == values_only
+    fresh = SelfEnergy(se.m, se.photon_mass, se.constants)
+    assert check_on_shell(fresh) == report
+
+
 def test_injected_constants_shift_residuals():
     base = build_self_energy(M)
     d0, d1 = 0.15, -0.08

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from causalqed.distributions import CausalDistribution, propagator_distribution
+from causalqed.induction import LatticeToy
 from causalqed.splitting import (SplitInputError, SplitSpec,
                                  ambiguity_dimension, dispersion,
                                  order_preservation_check,
@@ -51,6 +52,26 @@ def test_nonnegative_order_split_matches_oracle():
     result = split(d, SplitSpec(omega=2, normalization=(0.0, 0.0, 0.0)))
     for E in ES:
         assert abs(result.retarded.eval_fn(E) - exact(E)) < 1e-7
+
+
+def test_lattice_split_matches_oracle_out_to_far_nodes():
+    # |E| up to 1e3 lies beyond the table's outermost node (4N/pi = 326 at N = 256)
+    toy = LatticeToy()
+    d = CausalDistribution(eval_fn=lambda E: toy.commutator_hat(E, 2),
+                           omega=-2, support_tag="causal")
+    result = split(d, SplitSpec(omega=-2))
+    for E in (-1e3, -250.0, -40.0, -6.0, -2.0, 0.0, 2.0, 6.0, 40.0, 250.0, 1e3):
+        exact = toy.retarded_hat_exact(E, 2)
+        assert abs(result.retarded.eval_fn(E) - exact) <= 1e-10 * abs(exact)
+
+
+def test_split_fails_loudly_when_the_subtraction_point_is_not_a_zero():
+    # d does not vanish to order omega + 1 = 3 at 0.7, so the subtracted
+    # density has a pole on the line and its table cannot converge
+    result = split(toy_causal(3), SplitSpec(omega=2, normalization=(0.0, 0.0, 0.0),
+                                            subtraction_point=0.7))
+    with pytest.raises(ArithmeticError):
+        result.retarded.eval_fn(1.0)
 
 
 def test_normalization_polynomial_is_added_verbatim():
