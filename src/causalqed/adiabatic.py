@@ -198,11 +198,12 @@ def _massless_standoff(eps: float, s_fix: float = -1.0) -> float:
 
     The massless cut reaches the subtraction point, so the anchored
     integral grows like 1/eps as the standoff closes; no constant choice
-    removes the growth.
+    removes the growth.  The integral runs in x = s' - s0, so its cut
+    starts at eps and the (s' - s0)^-2 pole stays off the table.
     """
     s0 = -eps
-    density = lambda sp: causal_imaginary_part("Pi", 0.0, sp) / (sp - s0) ** 2
-    return (s_fix - s0) ** 2 * dispersion(density, s_fix, thr=0.0)
+    density = lambda x: causal_imaginary_part("Pi", 0.0, x + s0) / (x * x)
+    return (s_fix - s0) ** 2 * dispersion(density, -s0)(s_fix - s0)
 
 
 def smeared_contribution(channel: str, green, xi, phi, eps: float,
@@ -263,12 +264,9 @@ def weak_limit_vacuum(n: int, family: ScalingFamily, constants=(0.0, 0.0, 0.0),
     if smax >= thr:
         raise ValueError("schedule/profile reach the cut; enlarge m or shrink kmax")
 
-    def u_factor(s):
-        # w3(s) = s^3 u(s); u is smooth through s = 0, so the spline
-        # below never spoils the exact s^3 zero that the eps^-4 scaling
-        # amplifies
-        return dispersion(lambda sp: causal_imaginary_part("Pi", m, sp) / sp ** 3, s, thr)
-
+    # w3(s) = s^3 u(s); u is smooth through s = 0, so the spline below
+    # never spoils the exact s^3 zero that the eps^-4 scaling amplifies
+    u_factor = dispersion(lambda sp: causal_imaginary_part("Pi", m, sp) / sp ** 3, thr)
     s_grid = np.linspace(-smax, smax, 41)
     u_spline = CubicSpline(s_grid, [u_factor(s) for s in s_grid])
 

@@ -8,9 +8,10 @@ product.  Its Dirac traces, taken with the explicit 4x4 gamma matrices,
 are contracted once at import into a bilinear (Pi) or linear (Sigma) form
 in the leg components (q^0..q^3, +-m) that each call evaluates on the
 angular nodes.  The functions themselves are subtracted dispersion
-integrals over that discontinuity: (s - s0)^n times `splitting.dispersion`
-of rho(s') / (s' - s0)^n, and a shell derivative is the transform of
-rho(s') / (s' - m^2) at s = m^2.  Coupling constants are set to 1 throughout.
+integrals over that discontinuity: (s - s0)^n times the transform
+`splitting.dispersion(rho(s') / (s' - s0)^n, thr)`, which each Green function
+keeps, and a shell derivative is the transform of rho(s') / (s' - m^2) at
+s = m^2.  Coupling constants are set to 1 throughout.
 
 Decompositions: Pi_tensor^{mu nu}(p) = (p^mu p^nu - p^2 g^{mu nu}) Pi(p^2),
 Sigma(p) = a(p^2) + pslash b(p^2).
@@ -117,11 +118,13 @@ class VacuumPolarization:
     def rho(self, s: float) -> float:
         return causal_imaginary_part("Pi", self.m, s)
 
+    @cached_property
+    def _transform(self):
+        return dispersion(lambda sp: self.rho(sp) / sp ** self.subtractions, self.threshold)
+
     def scalar_part(self, s):
         C0, C1 = self.constants
-        n = self.subtractions
-        disp = dispersion(lambda sp: self.rho(sp) / sp ** n, s, self.threshold)
-        return C0 + C1 * complex(s) + s ** n * disp
+        return C0 + C1 * complex(s) + s ** self.subtractions * self._transform(s)
 
     def tensor(self, p) -> np.ndarray:
         """Pi^{mu nu}(p) = (p^mu p^nu - p^2 g^{mu nu}) Pi(p^2), upper indices."""
@@ -149,29 +152,24 @@ class SelfEnergy:
         return causal_imaginary_part("Sigma", self.m, s,
                                      photon_mass=self.photon_mass, component="b")
 
-    def _subtracted(self, rho):
+    @cached_property
+    def _transforms(self) -> tuple:
+        # rho_a and rho_b over (s' - m^2); independent of the constants
         s0 = self.m * self.m
-        return lambda sp: rho(sp) / (sp - s0)
+        return tuple(dispersion(lambda sp, rho=rho: rho(sp) / (sp - s0), self.threshold)
+                     for rho in (self.rho_a, self.rho_b))
 
     def a(self, s):
-        return self.constants[0] + (s - self.m * self.m) * dispersion(
-            self._subtracted(self.rho_a), s, self.threshold)
+        return self.constants[0] + (s - self.m * self.m) * self._transforms[0](s)
 
     def b(self, s):
-        return self.constants[1] + (s - self.m * self.m) * dispersion(
-            self._subtracted(self.rho_b), s, self.threshold)
+        return self.constants[1] + (s - self.m * self.m) * self._transforms[1](s)
 
     def a_prime_shell(self) -> float:
-        return self._shell_derivatives[0]
+        return self._transforms[0](self.m * self.m)
 
     def b_prime_shell(self) -> float:
-        return self._shell_derivatives[1]
-
-    @cached_property
-    def _shell_derivatives(self) -> tuple:
-        # independent of the constants, so build_self_energy's are kept on its result
-        return tuple(dispersion(self._subtracted(rho), self.m * self.m, self.threshold)
-                     for rho in (self.rho_a, self.rho_b))
+        return self._transforms[1](self.m * self.m)
 
     def shell_combination(self) -> complex:
         """a(m^2) + m b(m^2): the dangerous on-shell coefficient."""

@@ -12,19 +12,21 @@ factor ((E - E0)/(E' - E0))^(omega+1) anchored at the normalization
 point E0, and the result is unique only up to an added polynomial
 sum_k C_k (E - E0)^k of degree omega.
 
-`dispersion` is the one Cauchy transform behind this split and `qed2` and
-`adiabatic`: on the whole line one FFT table in Weideman's rational basis
-(Math. Comp. 64 (1995) 745), on a half line adaptive `quad`.
+The split reads the subtracted density off one FFT table in Weideman's
+rational basis (Math. Comp. 64 (1995) 745).  `dispersion(density, thr)` is
+the half-line Cauchy transform behind `qed2` and `adiabatic`: one
+Gauss-Legendre table of the density, with Legendre functions of the second
+kind near the cut (Abramowitz & Stegun 8 and 25.4).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import CausalDistribution, scaling_degree_estimate
 
@@ -60,18 +62,11 @@ class SplitResult:
     advanced: CausalDistribution
 
 
-# one quadrature tolerance set for every half-line dispersion integral
-_QUAD = dict(limit=400, epsabs=1e-12, epsrel=1e-11)
 # rational-basis table sizes N = 32..4096 and its outer-quarter tail rule
 _TABLE_SIZES, _TABLE_TAIL = [32 * 2 ** p for p in range(8)], 1e-14
-
-
-def _integral_from(f, thr: float, upper: float = math.inf) -> float:
-    """integral_thr^upper f(s') ds' in u with s' = thr + u^2, which takes
-    the square-root edge of a two-body density off the endpoint, where
-    quad would otherwise bisect down to it."""
-    return integrate.quad(lambda u: 2.0 * u * f(thr + u * u),
-                          0.0, math.sqrt(upper - thr), **_QUAD)[0]
+# Gauss-Legendre sizes N = 32..512, its tail rule, and rho^N past which a point is summed
+_GL_SIZES, _GL_TAIL, _GL_DIRECT = [32 * 2 ** p for p in range(5)], 1e-13, 1e8
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def _rational_table(f, center: float) -> np.ndarray:
@@ -93,40 +88,80 @@ def _rational_table(f, center: float) -> np.ndarray:
 
 
 def _rational_half(a: np.ndarray, w) -> complex:
-    """The half of sum_k a_k rho_k(w) that is analytic on w's side of the
-    real line: k >= 0 for Im w >= 0, k < 0 below."""
+    """The k >= 0 half of sum_k a_k rho_k(w), analytic above the real line."""
     N = len(a) // 2
-    k, a = (np.arange(N), a[N:]) if complex(w).imag >= 0.0 else (np.arange(-N, 0), a[:N])
-    return complex(np.dot(a, np.exp(2j * k * np.arctan(w)))) / (1.0 - 1j * w)
+    return complex(np.dot(a[N:], np.exp(2j * np.arange(N) * np.arctan(w)))) / (1.0 - 1j * w)
 
 
-def dispersion(density, z, thr: float = -math.inf):
-    """Cauchy transform (1/pi) integral_thr^inf density(s') / (s' - z) ds'.
+def _near(sigma, N: int) -> bool:
+    """Whether sigma is inside the Bernstein ellipse of [0, 1] with rho^N = 1e8."""
+    S = abs(2.0 * sigma) + abs(2.0 * sigma - 2.0)
+    return (S + math.sqrt(max(S * S - 4.0, 0.0))) / 2.0 < _GL_DIRECT ** (1.0 / N)
 
-    `density` is real.  Real z below thr gives a float; real z on the
-    support gives the boundary value from above, PV + i density(z).  A
-    subtracted dispersion integral is (z - s0)^n times the transform of
-    rho(s') / (s' - s0)^n.  On the whole line it is 2i (-2i) times the k >= 0
-    (k < 0) half of the density's rational table above (below) the line; on
-    a half line the PV is a Cauchy-weight window around z plus two flanks.
+
+def _cauchy(table, sigma: complex) -> complex:
+    """integral_0^1 g(t) / (t - sigma) dt, from above for sigma on (0, 1): the
+    Gauss-Legendre sum outside the ellipse of `_near`, else
+    -2 sum_k c_k Q_k(2 sigma - 1) with Q_k by forward recurrence."""
+    t, w, g, c = table
+    if not _near(sigma, len(c)):
+        return complex(np.dot(w, g / (t - sigma)))
+    xi = 2.0 * sigma - 1.0
+    Q = 0.5 * cmath.log((xi + 1.0) / (xi - 1.0))
+    if xi.imag == 0.0 and abs(xi.real) < 1.0:  # on the cut, from above
+        Q = Q.real - 0.5j * math.pi
+    total, Q_prev, Q = c[0] * Q, Q, xi * Q - 1.0
+    for k in range(1, len(c)):
+        total += c[k] * Q
+        Q_prev, Q = Q, ((2 * k + 1) * xi * Q - k * Q_prev) / (k + 1)
+    return -2.0 * total
+
+
+def dispersion(density, thr: float):
+    """The Cauchy transform z -> (1/pi) integral_thr^inf density(s') / (s' - z) ds'.
+
+    `density` is real and thr > 0.  Real z below thr gives a float; real z
+    on the support gives the boundary value from above, PV + i density(z).
+    With s' = thr / (1 - t^2) and g(t) = 2 s' density(s') it is
+    (1 / 2 pi z) integral_0^1 g(t) [1/(t - t0) + 1/(t + t0)] dt, where
+    t0^2 = (z - thr) / z and Re t0 >= 0.  Each evaluation is O(N) in the
+    table of g built by the first.
     """
-    z = complex(z)
-    x, y = z.real, z.imag
-    if math.isinf(thr):
-        return (2j if y >= 0.0 else -2j) * _rational_half(_rational_table(density, 0.0), z)
-    if y != 0.0:
-        re = _integral_from(lambda sp: density(sp) * (sp - x) / ((sp - x) ** 2 + y * y), thr)
-        im = _integral_from(lambda sp: density(sp) * y / ((sp - x) ** 2 + y * y), thr)
-        return complex(re, im) / math.pi
-    if x < thr:
-        return _integral_from(lambda sp: density(sp) / (sp - x), thr) / math.pi
-    h = (x - thr) / 2.0
-    if h <= 0:
-        raise ArithmeticError("dispersion evaluation at the threshold point")
-    window, _ = integrate.quad(density, x - h, x + h, weight="cauchy", wvar=x, **_QUAD)
-    left = _integral_from(lambda sp: density(sp) / (sp - x), thr, x - h)
-    right, _ = integrate.quad(lambda sp: density(sp) / (sp - x), x + h, math.inf, **_QUAD)
-    return complex((window + left + right) / math.pi, density(x))
+    if not 0.0 < thr < math.inf:
+        raise ValueError("dispersion needs a finite threshold thr > 0")
+
+    @functools.cache
+    def table():
+        # nodes t and weights w on [0, 1], g(t), and c_k with g = sum_k c_k P_k(2t - 1);
+        # N doubles until the outer quarter of the orthonormal c_k is below 1e-13 of the largest
+        for N in _GL_SIZES:
+            x, w = _gauss_legendre(N)
+            t = (x + 1.0) / 2.0
+            sp = thr / (1.0 - t * t)
+            g = 2.0 * sp * np.array([density(v) for v in sp.tolist()])
+            if not np.all(np.isfinite(g)):
+                raise ArithmeticError("non-finite density sample in the Gauss-Legendre table")
+            c = (np.arange(N) + 0.5) * ((w * g) @ np.polynomial.legendre.legvander(x, N - 1))
+            ortho = np.abs(c) / np.sqrt(np.arange(N) + 0.5)
+            if ortho[-(N // 4):].max() <= _GL_TAIL * ortho.max():
+                return t, w / 2.0, g, c.tolist()
+        raise ArithmeticError(f"Gauss-Legendre table not converged at N = {N}")
+
+    def transform(z):
+        z = complex(z)
+        if z == thr:
+            raise ArithmeticError("dispersion evaluation at the threshold point")
+        t, w, g, c = tab = table()
+        # z - thr is exact near the threshold, where the sum of the two
+        # Cauchy integrals keeps its digits as t0 -> 0
+        t0 = cmath.sqrt((z - thr) / z) if z else math.inf
+        if _near(t0, len(c)):
+            val = (_cauchy(tab, t0) + _cauchy(tab, -t0)) / (2.0 * math.pi * z)
+        else:  # both +-t0 far from [0, 1], z = 0 included
+            val = complex(np.dot(w, t * g / (thr - z * (1.0 - t * t)))) / math.pi
+        return val.real if z.imag == 0.0 and z.real < thr else val
+
+    return transform
 
 
 def split(d: CausalDistribution, spec: SplitSpec) -> SplitResult:

@@ -151,8 +151,15 @@ def test_scalar_part_real_on_cut_matches_closed_form(vp):
 
 def test_self_energy_on_cut_matches_upper_half_plane(se):
     # a(s + i0) is the boundary value of a(z) from Im z > 0
-    for s in (2.0, 4.0):
-        assert abs(se.a(s) - se.a(s + 1e-4j)) < 1e-3
+    for sigma, s in ((se, 2.0), (se, 4.0), (build_self_energy(0.5), 4.0)):
+        assert abs(sigma.a(s) - sigma.a(s + 1e-4j)) < 1e-3
+
+
+def test_scalar_part_just_above_the_cut_matches_closed_form(vp):
+    # Pi(30 + 1e-6 i) is within 3e-8 relative of its boundary value on the cut
+    z = 30.0 + 1e-6j
+    exact = complex(_pi_real_on_cut(M, z.real), vp.rho(z.real))
+    assert abs(vp.scalar_part(z) - exact) <= 1e-7 * abs(exact)
 
 
 def test_on_shell_vacuum_polarization(vp):
@@ -170,7 +177,7 @@ def test_on_shell_self_energy(se):
     assert (se.a(M * M), se.b(M * M)) == se.constants
 
 
-def test_on_shell_check_reuses_the_builders_shell_derivatives(monkeypatch):
+def _count_density_calls(monkeypatch):
     import causalqed.qed2 as qed2
 
     calls = []
@@ -181,17 +188,31 @@ def test_on_shell_check_reuses_the_builders_shell_derivatives(monkeypatch):
         return density(*args, **kwargs)
 
     monkeypatch.setattr(qed2, "causal_imaginary_part", counted)
+    return calls
+
+
+def test_each_green_function_tabulates_its_density_once(monkeypatch):
+    calls = _count_density_calls(monkeypatch)
     se = build_self_energy(M)
     calls.clear()
-    se.a(M * M)
-    se.b(M * M)
-    values_only = len(calls)
-    calls.clear()
+    for s in np.linspace(-3.0, 12.0, 10):
+        se.a(s)
+        se.b(s)
+    se.a_prime_shell()
+    se.b_prime_shell()
     report = check_on_shell(se)
-    # only a(m^2) and b(m^2) are evaluated; a' and b' come from the builder
-    assert len(calls) == values_only
+    assert len(calls) == 0
     fresh = SelfEnergy(se.m, se.photon_mass, se.constants)
     assert check_on_shell(fresh) == report
+
+    vp_fresh = VacuumPolarization(M, (0.0, 0.0))
+    vp_fresh.scalar_part(5.0)
+    assert len(calls) > 0
+    calls.clear()
+    for s in (-3.0, 0.0, 2.0, 9.0, 2.0 + 1.5j):
+        vp_fresh.scalar_part(s)
+    check_on_shell(vp_fresh)
+    assert len(calls) == 0
 
 
 def test_injected_constants_shift_residuals():

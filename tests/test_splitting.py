@@ -129,15 +129,25 @@ def test_dispersion_matches_closed_form_on_half_line():
     cut = (1.0001, 1.5, 4.0, 30.0)
     for z in below + planes + cut:
         exact = _half_line_transform(complex(z), thr, s0)
-        assert abs(dispersion(density, z, thr) - exact) <= 1e-12 * abs(exact)
-    assert all(isinstance(dispersion(density, z, thr), float) for z in below)
+        assert abs(dispersion(density, thr)(z) - exact) <= 1e-12 * abs(exact)
+    assert all(isinstance(dispersion(density, thr)(z), float) for z in below)
     with pytest.raises(ArithmeticError):
-        dispersion(density, thr, thr)
+        dispersion(density, thr)(thr)
 
 
-def test_dispersion_matches_closed_form_on_whole_line():
-    # (1/pi) int ds' / ((1 + s'^2)(s' - z)) = -1/(z + i) above, 1/(i - z) below
-    density = lambda sp: 1.0 / (1.0 + sp * sp)
-    for z in (-2.0, 0.0, 0.3, 5.0, 2.0 + 1.0j, -1.0 - 0.5j):
-        exact = 1.0 / (1j - z) if complex(z).imag < 0 else -1.0 / (z + 1j)
-        assert dispersion(density, z) == pytest.approx(exact, rel=1e-12)
+def test_dispersion_keeps_its_digits_next_to_the_threshold():
+    # t0^2 = (z - thr) / z, not 1 - thr / z, which would lose the digits of z - thr
+    thr, s0 = 1.0, 0.5
+    transform = dispersion(lambda sp: 1.0 / (sp - s0), thr)
+    for z in (1.0 - 1e-8, 1.0 + 1e-8, 1.0 + 1e-6, 1.0 + 1e-9j, 1.0 - 1e-9j):
+        exact = _half_line_transform(complex(z), thr, s0)
+        assert abs(transform(z) - exact) <= 1e-12 * abs(exact)
+
+
+def test_dispersion_fails_loudly():
+    # a pole inside the support: no Gauss-Legendre table of it converges
+    with pytest.raises(ArithmeticError):
+        dispersion(lambda sp: 1.0 / (sp - 2.0), 1.0)(1.5)
+    for thr in (0.0, -1.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dispersion(lambda sp: 1.0, thr)
