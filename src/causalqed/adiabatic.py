@@ -9,6 +9,11 @@ Green function (the dangerous coefficient), plus a regular part with a
 finite eps -> 0 limit.  With on-shell normalization the dangerous
 coefficient vanishes identically and the sweep converges; any other
 normalization leaves a 1/eps divergence.
+
+Each quadrature is a fixed Gauss-Legendre rule built at import.  A sweep
+evaluates its eps-free factors once (the shell overlaps, the on-shell
+coefficient and regular part, or the vacuum graph's profile product)
+and maps the schedule through the closed form in eps.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ class ScalingFamily:
 
     def __post_init__(self):
         sched = tuple(self.epsilon_schedule)
-        if any(e <= 0 for e in sched):
-            raise ValueError("epsilon schedule must be positive")
+        if not sched or not all(0 < e < math.inf for e in sched):
+            raise ValueError("epsilon schedule must be non-empty, positive and finite")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        if sched and sched[-1] < 1e-300:
+        if sched[-1] < 1e-300:
             raise ValueError("epsilon below machine-safe minimum")
         self.epsilon_schedule = sched
 
@@ -86,22 +91,19 @@ def bump_profile(alpha0: float = 1.0, width: float = 1.0, shape: float = 0.5) ->
     return ScalingFamily(g_hat=g_hat, alpha0=alpha0)
 
 
-def scaling_delta_check(family: ScalingFamily, F, eps: float, kmax: float = 5.0,
-                        n_nodes: int = 20) -> complex:
+_DELTA_X, _DELTA_W = np.polynomial.legendre.leggauss(20)
+_DELTA_RULE = tuple(zip(5.0 * _DELTA_X, 5.0 * _DELTA_W))  # k in [-5, 5]
+
+
+def scaling_delta_check(family: ScalingFamily, F, eps: float) -> complex:
     """integral g_hat_eps(p) F(p) d^4p by substitution p = eps k.
 
     Converges to (2 pi)^4 alpha0 F(0) as eps -> 0 (delta-family property).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    xs = kmax * nodes
-    ws = kmax * weights
     total = 0.0 + 0.0j
-    for i0, w0 in zip(xs, ws):
-        for i1, w1 in zip(xs, ws):
-            for i2, w2 in zip(xs, ws):
-                for i3, w3 in zip(xs, ws):
-                    k = np.array([i0, i1, i2, i3])
-                    total += w0 * w1 * w2 * w3 * family.g_hat(k) * F(eps * k)
+    for (k0, w0), (k1, w1), (k2, w2), (k3, w3) in itertools.product(_DELTA_RULE, repeat=4):
+        k = np.array([k0, k1, k2, k3])
+        total += w0 * w1 * w2 * w3 * family.g_hat(k) * F(eps * k)
     return total
 
 
@@ -146,25 +148,21 @@ def classify_sweep(epsilons, values) -> SweepResult:
     return SweepResult(epsilons, values, "inconclusive", sigma)
 
 
-def _shell_overlap(m: float, xi, phi, pmax: float = 2.0, n_nodes: int = 12):
+_SHELL_X, _SHELL_W = np.polynomial.legendre.leggauss(12)
+_SHELL_R = _SHELL_X + 1.0  # radial momenta in [0, 2]
+
+
+def _shell_overlap(m: float, xi, phi):
     """Quadrature data for the mass-shell smearing integral.
 
     Returns (sum_i w_i xi_i phi_i, sum_i w_i xi_i phi_i / E_i) over a
     radial momentum grid with p = (E(r), 0, 0, r).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    rs = 0.5 * pmax * (nodes + 1.0)
-    ws = 0.5 * pmax * weights
-    plain = 0.0 + 0.0j
-    over_e = 0.0 + 0.0j
-    for r, w in zip(rs, ws):
-        E = math.sqrt(r * r + m * m)
-        pvec = np.array([0.0, 0.0, r])
-        p4 = np.array([E, 0.0, 0.0, r])
-        f = w * complex(xi(pvec)) * complex(phi(p4))
-        plain += f
-        over_e += f / E
-    return plain, over_e
+    E = np.sqrt(_SHELL_R * _SHELL_R + m * m)
+    f = _SHELL_W * np.array([complex(xi(np.array([0.0, 0.0, r])))
+                             * complex(phi(np.array([e, 0.0, 0.0, r])))
+                             for r, e in zip(_SHELL_R, E)])
+    return complex(f.sum()), complex((f / E).sum())
 
 
 def _dangerous_and_regular(channel: str, green):
@@ -193,8 +191,8 @@ def _dangerous_and_regular(channel: str, green):
     raise ValueError(f"unknown channel {channel!r}")
 
 
-def _massless_standoff(eps: float, s_fix: float = -1.0) -> float:
-    """Twice-subtracted massless dispersion anchored at s0 = -eps.
+def _massless_standoff(eps: float) -> float:
+    """Twice-subtracted massless dispersion anchored at s0 = -eps, at s = -1.
 
     The massless cut reaches the subtraction point, so the anchored
     integral grows like 1/eps as the standoff closes; no constant choice
@@ -203,7 +201,18 @@ def _massless_standoff(eps: float, s_fix: float = -1.0) -> float:
     """
     s0 = -eps
     density = lambda x: causal_imaginary_part("Pi", 0.0, x + s0) / (x * x)
-    return (s_fix - s0) ** 2 * dispersion(density, -s0)(s_fix - s0)
+    return (-1.0 - s0) ** 2 * dispersion(density, -s0)(-1.0 - s0)
+
+
+def _sweep_values(channel: str, green, xi, phi, epsilons, constants) -> list:
+    """Smeared contributions along epsilons, with the eps-free factors evaluated once."""
+    if channel == "massless_charge":
+        plain, _ = _shell_overlap(0.0, xi, phi)
+        return [plain * (_massless_standoff(eps) + constants[0] - constants[1])
+                for eps in epsilons]
+    kappa, regular = _dangerous_and_regular(channel, green)
+    plain, over_e = _shell_overlap(green.m, xi, phi)
+    return [kappa * over_e / (-1j * eps) + regular * plain for eps in epsilons]
 
 
 def smeared_contribution(channel: str, green, xi, phi, eps: float,
@@ -217,15 +226,7 @@ def smeared_contribution(channel: str, green, xi, phi, eps: float,
     """
     if eps < 1e-300:
         raise ValueError("eps below safe minimum")
-    if channel == "massless_charge":
-        s_fix = -1.0
-        plain, _ = _shell_overlap(0.0, xi, phi)
-        body = _massless_standoff(eps, s_fix) + constants[0] + constants[1] * s_fix
-        return plain * body
-    kappa, regular = _dangerous_and_regular(channel, green)
-    m = green.m
-    plain, over_e = _shell_overlap(m, xi, phi)
-    return kappa * over_e / (-1j * eps) + regular * plain
+    return _sweep_values(channel, green, xi, phi, (eps,), constants)[0]
 
 
 def epsilon_free_evaluation(channel: str, green, xi, phi) -> complex:
@@ -237,13 +238,23 @@ def epsilon_free_evaluation(channel: str, green, xi, phi) -> complex:
 
 def sweep(channel: str, green, xi, phi, family: ScalingFamily,
           constants=(0.0, 0.0)) -> SweepResult:
-    values = [smeared_contribution(channel, green, xi, phi, e, constants=constants)
-              for e in family.epsilon_schedule]
+    values = _sweep_values(channel, green, xi, phi, family.epsilon_schedule, constants)
     return classify_sweep(family.epsilon_schedule, values)
 
 
+# vacuum-graph nodes k = (a, 0, 0, b), a in [-kmax, kmax], radial b in [0, kmax]
+_WEAK_KMAX = 6.0
+_WEAK_X, _WEAK_W = np.polynomial.legendre.leggauss(24)
+_WEAK_A, _WEAK_B = np.meshgrid(_WEAK_KMAX * _WEAK_X, 0.5 * _WEAK_KMAX * (_WEAK_X + 1.0),
+                               indexing="ij")
+_WEAK_K = np.array([[a, 0.0, 0.0, b] for a, b in zip(_WEAK_A.flat, _WEAK_B.flat)])
+_WEAK_MEASURE = (np.outer(_WEAK_KMAX * _WEAK_W, 0.5 * _WEAK_KMAX * _WEAK_W)
+                 * (4.0 * math.pi * _WEAK_B * _WEAK_B))
+_WEAK_Q = _WEAK_A * _WEAK_A - _WEAK_B * _WEAK_B
+
+
 def weak_limit_vacuum(n: int, family: ScalingFamily, constants=(0.0, 0.0, 0.0),
-                      m: float = 1.0, kmax: float = 6.0, n_nodes: int = 24) -> SweepResult:
+                      m: float = 1.0) -> SweepResult:
     """Vacuum expectation of S_n(g_eps^(x) n) along the schedule.
 
     n = 1: identically zero (normal-ordered vertex).  n = 2: the vacuum
@@ -258,11 +269,10 @@ def weak_limit_vacuum(n: int, family: ScalingFamily, constants=(0.0, 0.0, 0.0),
     if n != 2:
         raise NotImplementedError("numeric weak limit implemented for n <= 2")
 
-    eps_max = family.epsilon_schedule[0]
     thr = 4.0 * m * m
-    smax = (eps_max * kmax) ** 2 * 1.05
+    smax = (family.epsilon_schedule[0] * _WEAK_KMAX) ** 2 * 1.05
     if smax >= thr:
-        raise ValueError("schedule/profile reach the cut; enlarge m or shrink kmax")
+        raise ValueError("schedule reaches the cut; enlarge m or start at a smaller eps")
 
     # w3(s) = s^3 u(s); u is smooth through s = 0, so the spline below
     # never spoils the exact s^3 zero that the eps^-4 scaling amplifies
@@ -270,24 +280,13 @@ def weak_limit_vacuum(n: int, family: ScalingFamily, constants=(0.0, 0.0, 0.0),
     s_grid = np.linspace(-smax, smax, 41)
     u_spline = CubicSpline(s_grid, [u_factor(s) for s in s_grid])
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    k0 = kmax * nodes
-    wk0 = kmax * weights
-    r = 0.5 * kmax * (nodes + 1.0)
-    wr = 0.5 * kmax * weights
-
+    gg = np.array([family.g_hat(k) * family.g_hat(-k) for k in _WEAK_K])
+    w = _WEAK_MEASURE * gg.reshape(_WEAK_Q.shape)
     values = []
     for eps in family.epsilon_schedule:
-        total = 0.0
-        for a, wa in zip(k0, wk0):
-            for b, wb in zip(r, wr):
-                k = np.array([a, 0.0, 0.0, b])
-                gg = family.g_hat(k) * family.g_hat(-k)
-                s = (eps * eps) * (a * a - b * b)
-                body = (constants[0] + constants[1] * s + constants[2] * s * s
-                        + s ** 3 * float(u_spline(s)))
-                total += wa * wb * (4.0 * math.pi * b * b) * gg * body
-        values.append(total / ((2.0 * math.pi) ** 4 * eps ** 4))
+        s = (eps * eps) * _WEAK_Q
+        body = constants[0] + constants[1] * s + constants[2] * s * s + s ** 3 * u_spline(s)
+        values.append(np.sum(w * body) / ((2.0 * math.pi) ** 4 * eps ** 4))
     return classify_sweep(family.epsilon_schedule, values)
 
 

@@ -71,36 +71,38 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _load_config(args):
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    return cfg
-
-
 def _outdir(args):
-    out = getattr(args, "out", None) or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def cmd_split(args) -> int:
-    cfg = _load_config(args)
-    out = _outdir(args)
+def _split_input(args):
+    """(distribution, omega) named by --toy or by the --config file."""
+    cfg = {}
+    if args.config:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
     toy_name = args.toy or cfg.get("toy")
     if toy_name:
         if toy_name not in _TOYS:
-            print(f"unknown toy distribution {toy_name!r}", file=sys.stderr)
-            return EXIT_VALIDATION
-        d, omega = _TOYS[toy_name]()
-    elif cfg.get("descriptor"):
+            raise ValueError(f"unknown toy distribution {toy_name!r}")
+        return _TOYS[toy_name]()
+    if cfg.get("descriptor"):
         d = descriptor_from_json(json.dumps(cfg["descriptor"]))
-        omega = d.omega
-    else:
-        print("config must name a toy or supply a descriptor", file=sys.stderr)
-        return EXIT_VALIDATION
+        return d, d.omega
+    raise ValueError("config must name a toy or supply a descriptor")
 
+
+def cmd_split(args) -> int:
+    try:
+        d, omega = _split_input(args)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    out = _outdir(args)
     constants = [c for c in (args.c0, args.c1, args.c2) if c is not None]
     need = ambiguity_dimension(omega)
     if omega >= 0 and len(constants) < need:
@@ -143,13 +145,13 @@ def cmd_split(args) -> int:
 
 def _green_from_args(args, which: str):
     m = args.m if args.m is not None else DEFAULTS["m"]
-    mu = args.mu if args.mu is not None else m * DEFAULTS["mu_over_m"]
     if args.normalization == "custom":
         consts = (args.c0 or 0.0, args.c1 or 0.0)
     else:
         consts = "on-shell"
     if which == "vacuum-pol":
         return build_vacuum_polarization(m, normalization=consts)
+    mu = args.mu if args.mu is not None else m * DEFAULTS["mu_over_m"]
     return build_self_energy(m, photon_mass=mu, normalization=consts)
 
 
@@ -290,48 +292,48 @@ def build_parser() -> argparse.ArgumentParser:
                     + json.dumps(DEFAULTS, sort_keys=True))
     sub = p.add_subparsers(dest="command")
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON configuration file")
+    # each subcommand registers only the options its cmd_* reads
+    def subcommand(name, func, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--out", help="output directory (default .)")
+        sp.set_defaults(func=func)
+        return sp
+
+    def green_options(sp, photon_mass):
         sp.add_argument("--m", type=float, help="charged-field mass")
-        sp.add_argument("--mu", type=float, help="photon-mass regulator")
+        if photon_mass:
+            sp.add_argument("--mu", type=float, help="photon-mass regulator")
         sp.add_argument("--normalization", choices=["on-shell", "custom"],
                         default="on-shell")
         sp.add_argument("--c0", type=float)
         sp.add_argument("--c1", type=float)
-        sp.add_argument("--c2", type=float)
-        sp.add_argument("--tol", type=float, default=1e-8)
 
-    sp = sub.add_parser("split", help="split a causal toy distribution")
-    common(sp)
+    sp = subcommand("split", cmd_split, "split a causal toy distribution")
+    sp.add_argument("--config", help="JSON configuration file")
     sp.add_argument("--toy", choices=sorted(_TOYS))
-    sp.set_defaults(func=cmd_split)
+    for flag in ("--c0", "--c1", "--c2"):
+        sp.add_argument(flag, type=float)
 
     for name in ("vacuum-pol", "self-energy"):
-        sp = sub.add_parser(name, help=f"build the {name} Green function")
-        common(sp)
-        sp.set_defaults(func=cmd_green)
+        sp = subcommand(name, cmd_green, f"build the {name} Green function")
+        green_options(sp, photon_mass=name == "self-energy")
+        sp.add_argument("--tol", type=float, default=1e-8)
 
-    sp = sub.add_parser("adiabatic-sweep", help="run an adiabatic-limit sweep")
-    common(sp)
+    sp = subcommand("adiabatic-sweep", cmd_sweep, "run an adiabatic-limit sweep")
+    green_options(sp, photon_mass=True)
     sp.add_argument("--channel", default="Sigma_into_psi",
                     choices=["Sigma_into_psi", "Pi_into_A", "Pi_into_current",
                              "massless_charge"])
     sp.add_argument("--eps-start", type=float)
     sp.add_argument("--eps-stop", type=float)
     sp.add_argument("--eps-steps", type=int)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("fock-check", help="grid ladder-operator CCR/CAR check")
-    common(sp)
+    sp = subcommand("fock-check", cmd_fock_check, "grid ladder-operator CCR/CAR check")
     sp.add_argument("--grid-modes", type=int)
     sp.add_argument("--cutoff", type=int)
-    sp.set_defaults(func=cmd_fock_check)
 
-    sp = sub.add_parser("wick-expand", help="canonical JSON of the order-n kernel")
-    common(sp)
+    sp = subcommand("wick-expand", cmd_wick_expand, "canonical JSON of the order-n kernel")
     sp.add_argument("--order", type=int)
-    sp.set_defaults(func=cmd_wick_expand)
     return p
 
 

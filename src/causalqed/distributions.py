@@ -207,9 +207,12 @@ def ret_adv_commutation(kind: str, m: float, p, eps: float = 1e-8, tol: float = 
     return scalar
 
 
+_PROPAGATOR_SUPPORT = {"Dret": "retarded", "Sret": "retarded",
+                       "Dav": "advanced", "Sav": "advanced", "Feynman": "none"}
+
+
 def propagator_distribution(kind: str, m: float, eps: float = 1e-8) -> CausalDistribution:
-    support = {"Dret": "retarded", "Sret": "retarded",
-               "Dav": "advanced", "Sav": "advanced", "Feynman": "none"}[kind]
+    support = _PROPAGATOR_SUPPORT[kind]
     return CausalDistribution(
         eval_fn=lambda p: ret_adv_commutation(kind, m, p, eps=eps),
         mass_params=(m,),
@@ -223,9 +226,12 @@ def descriptor_from_json(text: str) -> CausalDistribution:
 
     Schema: {"kind": ..., "mass": ..., "eps": ..., "normalization": [...]}
     where kind is one of the propagator kinds or "pauli_jordan".
+    A missing or unknown kind raises ValueError.
     """
     obj = json.loads(text)
-    kind = obj["kind"]
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind != "pauli_jordan" and kind not in _PROPAGATOR_SUPPORT:
+        raise ValueError(f"unknown distribution kind {kind!r}")
     m = float(obj.get("mass", 0.0))
     if kind == "pauli_jordan":
         return pauli_jordan(m)

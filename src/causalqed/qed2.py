@@ -109,7 +109,6 @@ def causal_imaginary_part(which: str, m: float, s: float,
 class VacuumPolarization:
     m: float
     constants: tuple  # (C0, C1)
-    subtractions: int = 2
 
     @property
     def threshold(self) -> float:
@@ -120,11 +119,11 @@ class VacuumPolarization:
 
     @cached_property
     def _transform(self):
-        return dispersion(lambda sp: self.rho(sp) / sp ** self.subtractions, self.threshold)
+        return dispersion(lambda sp: self.rho(sp) / sp ** 2, self.threshold)
 
     def scalar_part(self, s):
         C0, C1 = self.constants
-        return C0 + C1 * complex(s) + s ** self.subtractions * self._transform(s)
+        return C0 + C1 * complex(s) + s ** 2 * self._transform(s)
 
     def tensor(self, p) -> np.ndarray:
         """Pi^{mu nu}(p) = (p^mu p^nu - p^2 g^{mu nu}) Pi(p^2), upper indices."""
@@ -181,8 +180,7 @@ class SelfEnergy:
         return self.a(s) * IDENTITY4 + self.b(s) * slash(p)
 
 
-def build_vacuum_polarization(m: float, normalization="on-shell",
-                              subtractions: int = 2) -> VacuumPolarization:
+def build_vacuum_polarization(m: float, normalization="on-shell") -> VacuumPolarization:
     """Vacuum polarization from the subtracted dispersion integral.
 
     normalization: "on-shell" fixes C0 = C1 = 0 so Pi(0) = 0 and
@@ -206,7 +204,7 @@ def build_vacuum_polarization(m: float, normalization="on-shell",
             raise MasslessNormalizationError(
                 "subtraction at p^2 = 0 sits on the massless cut; "
                 "no normalization constants repair the dispersion integral")
-    return VacuumPolarization(m=m, constants=constants, subtractions=subtractions)
+    return VacuumPolarization(m=m, constants=constants)
 
 
 def build_self_energy(m: float, photon_mass: float = None,

@@ -7,7 +7,7 @@ from causalqed.adiabatic import (CHANNELS, DEFAULT_SCHEDULE, ScalingFamily,
                                  _massless_standoff, bump_profile,
                                  classify_sweep, epsilon_free_evaluation,
                                  gaussian_profile, scaling_delta_check,
-                                 smeared_contribution, sweep)
+                                 smeared_contribution, sweep, weak_limit_vacuum)
 from causalqed.qed2 import build_self_energy, build_vacuum_polarization
 
 SCHED = tuple(2.0 ** (-k) for k in range(3, 12))
@@ -26,6 +26,9 @@ def test_schedule_validation():
         ScalingFamily(g_hat=lambda p: 1.0, epsilon_schedule=(0.1, 0.2))
     with pytest.raises(ValueError):
         ScalingFamily(g_hat=lambda p: 1.0, epsilon_schedule=(0.1, -0.01))
+    for bad in ((0.1, math.nan, 0.01), (math.inf, 0.1), ()):
+        with pytest.raises(ValueError):
+            ScalingFamily(g_hat=lambda p: 1.0, epsilon_schedule=bad)
 
 
 def test_g_hat_eps_scaling_identity():
@@ -118,3 +121,28 @@ def test_massless_standoff_closed_form():
     for eps in DEFAULT_SCHEDULE:
         exact = (2.0 / 3.0) * (math.log(eps) + 1.0 / eps - 1.0)
         assert _massless_standoff(eps) == pytest.approx(exact, rel=1e-12)
+
+
+def counted(fn):
+    def wrapper(*args):
+        wrapper.calls += 1
+        return fn(*args)
+    wrapper.calls = 0
+    return wrapper
+
+
+def test_sweep_evaluates_the_shell_overlap_once(se):
+    fam = gaussian_profile()
+    family = ScalingFamily(g_hat=fam.g_hat, epsilon_schedule=DEFAULT_SCHEDULE)
+    cxi, cphi = counted(xi), counted(phi)
+    sweep("Sigma_into_psi", se, cxi, cphi, family)
+    assert len(DEFAULT_SCHEDULE) == 12
+    assert (cxi.calls, cphi.calls) == (12, 12)
+
+
+def test_weak_limit_evaluates_the_profile_product_once():
+    g_hat = gaussian_profile().g_hat
+    for schedule in (DEFAULT_SCHEDULE, DEFAULT_SCHEDULE[:3]):
+        counted_g = counted(g_hat)
+        weak_limit_vacuum(2, ScalingFamily(g_hat=counted_g, epsilon_schedule=schedule))
+        assert counted_g.calls == 2 * 24 * 24

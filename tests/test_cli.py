@@ -60,6 +60,33 @@ def test_split_descriptor_with_wrong_support(tmp_path):
     assert main(["split", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def test_split_bad_config_is_validation_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    assert run(tmp_path, "split", "--config", str(tmp_path / "missing.json")) == 2
+    for text in ('{"descriptor": ', json.dumps([1, 2]),
+                 json.dumps({"descriptor": {"mass": 1.0}}),
+                 json.dumps({"descriptor": {"kind": "Dfoo", "mass": 1.0}}),
+                 json.dumps({"descriptor": {"kind": "pauli_jordan", "mass": "heavy"}}),
+                 json.dumps({"descriptor": {"kind": "pauli_jordan", "mass": None}})):
+        cfg.write_text(text)
+        assert run(tmp_path, "split", "--config", str(cfg)) == 2, text
+
+
+@pytest.mark.parametrize("argv", [
+    ["vacuum-pol", "--config", "missing.json"],
+    ["vacuum-pol", "--mu", "0.1"],
+    ["vacuum-pol", "--c2", "1"],
+    ["split", "--toy", "sgn-exp", "--m", "2"],
+    ["adiabatic-sweep", "--tol", "1e-6"],
+    ["fock-check", "--m", "2"],
+    ["wick-expand", "--normalization", "custom"],
+])
+def test_ignored_options_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+
+
 def test_vacuum_pol_run_and_massless_rejection(tmp_path):
     assert run(tmp_path, "vacuum-pol", "--m", "1.0") == 0
     report = json.loads((tmp_path / "vacuum_pol_report.json").read_text())
