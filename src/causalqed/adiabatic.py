@@ -13,7 +13,11 @@ normalization leaves a 1/eps divergence.
 Each quadrature is a fixed Gauss-Legendre rule built at import.  A sweep
 evaluates its eps-free factors once (the shell overlaps, the on-shell
 coefficient and regular part, or the vacuum graph's profile product)
-and maps the schedule through the closed form in eps.
+and maps the schedule through the closed form in eps.  The weak limit
+evaluates its kernel's transform on the nodes directly, in one array
+call, with no interpolating spline.  The massless standoff is a closed
+form in eps, exact because the massless density is one constant:
+massless two-body phase space has no scale.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fock import DiscreteKernel, MomentumGrid, _check_kernel
 from .qed2 import SelfEnergy, VacuumPolarization, causal_imaginary_part
@@ -191,17 +194,20 @@ def _dangerous_and_regular(channel: str, green):
     raise ValueError(f"unknown channel {channel!r}")
 
 
+# massless two-body phase space has no scale, so rho_Pi(m = 0, s) is one constant
+_RHO_MASSLESS = causal_imaginary_part("Pi", 0.0, 1.0)
+
+
 def _massless_standoff(eps: float) -> float:
     """Twice-subtracted massless dispersion anchored at s0 = -eps, at s = -1.
 
     The massless cut reaches the subtraction point, so the anchored
     integral grows like 1/eps as the standoff closes; no constant choice
-    removes the growth.  The integral runs in x = s' - s0, so its cut
-    starts at eps and the (s' - s0)^-2 pole stays off the table.
+    removes the growth.  With the constant density rho0 it is
+    (1 - eps)^2 / pi integral_0^inf rho0 ds' / ((s' + eps)^2 (s' + 1))
+    = (rho0 / pi) (log eps + 1/eps - 1) by partial fractions.
     """
-    s0 = -eps
-    density = lambda x: causal_imaginary_part("Pi", 0.0, x + s0) / (x * x)
-    return (-1.0 - s0) ** 2 * dispersion(density, -s0)(-1.0 - s0)
+    return _RHO_MASSLESS / math.pi * (math.log(eps) + 1.0 / eps - 1.0)
 
 
 def _sweep_values(channel: str, green, xi, phi, epsilons, constants) -> list:
@@ -251,6 +257,7 @@ _WEAK_K = np.array([[a, 0.0, 0.0, b] for a, b in zip(_WEAK_A.flat, _WEAK_B.flat)
 _WEAK_MEASURE = (np.outer(_WEAK_KMAX * _WEAK_W, 0.5 * _WEAK_KMAX * _WEAK_W)
                  * (4.0 * math.pi * _WEAK_B * _WEAK_B))
 _WEAK_Q = _WEAK_A * _WEAK_A - _WEAK_B * _WEAK_B
+_WEAK_HALF = len(_WEAK_X) // 2  # the a nodes are symmetric: rows _WEAK_HALF.. hold a > 0
 
 
 def weak_limit_vacuum(n: int, family: ScalingFamily, constants=(0.0, 0.0, 0.0),
@@ -274,19 +281,18 @@ def weak_limit_vacuum(n: int, family: ScalingFamily, constants=(0.0, 0.0, 0.0),
     if smax >= thr:
         raise ValueError("schedule reaches the cut; enlarge m or start at a smaller eps")
 
-    # w3(s) = s^3 u(s); u is smooth through s = 0, so the spline below
-    # never spoils the exact s^3 zero that the eps^-4 scaling amplifies
+    # w3(s) = s^3 u(s); the exact s^3 zero, which the eps^-4 scaling
+    # amplifies, stays outside the transform
     u_factor = dispersion(lambda sp: causal_imaginary_part("Pi", m, sp) / sp ** 3, thr)
-    s_grid = np.linspace(-smax, smax, 41)
-    u_spline = CubicSpline(s_grid, [u_factor(s) for s in s_grid])
 
     gg = np.array([family.g_hat(k) * family.g_hat(-k) for k in _WEAK_K])
     w = _WEAK_MEASURE * gg.reshape(_WEAK_Q.shape)
-    values = []
-    for eps in family.epsilon_schedule:
-        s = (eps * eps) * _WEAK_Q
-        body = constants[0] + constants[1] * s + constants[2] * s * s + s ** 3 * u_spline(s)
-        values.append(np.sum(w * body) / ((2.0 * math.pi) ** 4 * eps ** 4))
+    # the kernel is even in a, so the +-a rows share their evaluations
+    w = (w + w[::-1])[_WEAK_HALF:]
+    eps = np.array(family.epsilon_schedule)
+    s = (eps * eps)[:, None, None] * _WEAK_Q[_WEAK_HALF:]
+    body = constants[0] + constants[1] * s + constants[2] * s * s + s ** 3 * u_factor(s)
+    values = np.sum(w * body, axis=(1, 2)) / ((2.0 * math.pi) ** 4 * eps ** 4)
     return classify_sweep(family.epsilon_schedule, values)
 
 

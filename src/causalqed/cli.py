@@ -252,9 +252,14 @@ def cmd_fock_check(args) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
     report = {}
-    for stat in ("bose", "fermi"):
-        grid = uniform_grid(modes, statistic=stat)
-        report[stat] = commutator_check(grid, cutoff=cutoff)
+    try:
+        for stat in ("bose", "fermi"):
+            report[stat] = commutator_check(uniform_grid(modes, statistic=stat), cutoff=cutoff)
+            if not np.isfinite(report[stat]):
+                raise ArithmeticError(f"non-finite {stat} deviation")
+    except (ArithmeticError, ValueError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     _write_json(os.path.join(out, "fock_check.json"), {
         "grid_modes": modes, "cutoff": cutoff,
         "max_deviation": report,

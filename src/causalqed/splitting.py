@@ -93,10 +93,11 @@ def _rational_half(a: np.ndarray, w) -> complex:
     return complex(np.dot(a[N:], np.exp(2j * np.arange(N) * np.arctan(w)))) / (1.0 - 1j * w)
 
 
-def _near(sigma, N: int) -> bool:
-    """Whether sigma is inside the Bernstein ellipse of [0, 1] with rho^N = 1e8."""
-    S = abs(2.0 * sigma) + abs(2.0 * sigma - 2.0)
-    return (S + math.sqrt(max(S * S - 4.0, 0.0))) / 2.0 < _GL_DIRECT ** (1.0 / N)
+def _near(sigma, N: int):
+    """Whether sigma (a number, or elementwise an array) is inside the
+    Bernstein ellipse of [0, 1] with rho^N = 1e8."""
+    S = abs(2.0 * sigma) + abs(2.0 * sigma - 2.0)  # >= 2 up to rounding
+    return (S + abs(S * S - 4.0) ** 0.5) / 2.0 < _GL_DIRECT ** (1.0 / N)
 
 
 def _cauchy(table, sigma: complex) -> complex:
@@ -126,6 +127,10 @@ def dispersion(density, thr: float):
     (1 / 2 pi z) integral_0^1 g(t) [1/(t - t0) + 1/(t + t0)] dt, where
     t0^2 = (z - thr) / z and Re t0 >= 0.  Each evaluation is O(N) in the
     table of g built by the first.
+
+    An ndarray z gives an array of its shape: real if every z is real and
+    below thr, else complex.  The points outside the ellipse of `_near`
+    share one matrix product; the rest take the scalar path one by one.
     """
     if not 0.0 < thr < math.inf:
         raise ValueError("dispersion needs a finite threshold thr > 0")
@@ -148,6 +153,8 @@ def dispersion(density, thr: float):
         raise ArithmeticError(f"Gauss-Legendre table not converged at N = {N}")
 
     def transform(z):
+        if isinstance(z, np.ndarray) and z.ndim:
+            return transform_array(z)
         z = complex(z)
         if z == thr:
             raise ArithmeticError("dispersion evaluation at the threshold point")
@@ -160,6 +167,25 @@ def dispersion(density, thr: float):
         else:  # both +-t0 far from [0, 1], z = 0 included
             val = complex(np.dot(w, t * g / (thr - z * (1.0 - t * t)))) / math.pi
         return val.real if z.imag == 0.0 and z.real < thr else val
+
+    def transform_array(z):
+        t, w, g, c = table()
+        shape, real = z.shape, not np.any(np.imag(z)) and bool(np.all(np.real(z) < thr))
+        z = (np.real(z).astype(float) if real else z.astype(complex)).ravel()
+        out = np.empty_like(z)
+        # |z| below ~1e-300 overflows t0 to inf or nan, which the test leaves far
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t0 = np.sqrt(((z - thr) / np.where(z == 0.0, 1.0, z)).astype(complex))
+            near = _near(t0, len(c)) & (z != 0.0)
+        far = ~near
+        # the far sum of the scalar path for all far points, in place: fresh
+        # temporaries of this size cost more than the arithmetic
+        d = np.multiply.outer(z[far], t * t - 1.0)
+        d += thr
+        out[far] = np.divide(t * g, d, out=d) @ w / math.pi
+        for i in np.flatnonzero(near):  # z = thr is near (t0 = 0) and raises there
+            out[i] = transform(complex(z[i]))
+        return out.reshape(shape)
 
     return transform
 

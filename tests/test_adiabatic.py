@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from causalqed.adiabatic import (CHANNELS, DEFAULT_SCHEDULE, ScalingFamily,
+from causalqed import adiabatic
+from causalqed.adiabatic import (_WEAK_K, _WEAK_MEASURE, _WEAK_Q, CHANNELS,
+                                 DEFAULT_SCHEDULE, ScalingFamily,
                                  _massless_standoff, bump_profile,
                                  classify_sweep, epsilon_free_evaluation,
                                  gaussian_profile, scaling_delta_check,
                                  smeared_contribution, sweep, weak_limit_vacuum)
-from causalqed.qed2 import build_self_energy, build_vacuum_polarization
+from causalqed.qed2 import build_self_energy, build_vacuum_polarization, causal_imaginary_part
+from causalqed.splitting import dispersion
 
 SCHED = tuple(2.0 ** (-k) for k in range(3, 12))
 
@@ -117,10 +120,13 @@ def test_channel_registry():
 
 
 def test_massless_standoff_closed_form():
-    # rho_Pi = 1/6 at m = 0; partial fractions of 1 / ((s' + eps)^2 (s' + 1))
+    # the closed form against the twice-subtracted dispersion it replaces: the
+    # integral runs in x = s' + eps, so the cut starts at eps and the x^-2
+    # pole stays off the table
     for eps in DEFAULT_SCHEDULE:
-        exact = (2.0 / 3.0) * (math.log(eps) + 1.0 / eps - 1.0)
-        assert _massless_standoff(eps) == pytest.approx(exact, rel=1e-12)
+        density = lambda x, eps=eps: causal_imaginary_part("Pi", 0.0, x - eps) / (x * x)
+        anchored = (1.0 - eps) ** 2 * dispersion(density, eps)(eps - 1.0)
+        assert _massless_standoff(eps) == pytest.approx(anchored, rel=1e-12)
 
 
 def counted(fn):
@@ -146,3 +152,32 @@ def test_weak_limit_evaluates_the_profile_product_once():
         counted_g = counted(g_hat)
         weak_limit_vacuum(2, ScalingFamily(g_hat=counted_g, epsilon_schedule=schedule))
         assert counted_g.calls == 2 * 24 * 24
+
+
+def test_massless_sweep_makes_at_most_one_density_call(monkeypatch):
+    density = counted(causal_imaginary_part)
+    monkeypatch.setattr(adiabatic, "causal_imaginary_part", density)
+    family = ScalingFamily(g_hat=gaussian_profile().g_hat, epsilon_schedule=DEFAULT_SCHEDULE)
+    result = sweep("massless_charge", None, xi, phi, family, constants=(0.5, -0.3))
+    assert result.verdict == "diverged"
+    assert density.calls <= 1
+
+
+def test_weak_limit_matches_the_pointwise_node_sum():
+    # the same 24 x 24 node grid, with the scalar transform at every node and
+    # eps; the profile product is not even in k0 alone
+    m, schedule = 1.2, DEFAULT_SCHEDULE
+    g_hat = lambda p: bump_profile().g_hat(p) * (1.0 + 0.3 * p[0] * p[3])
+    u = dispersion(lambda sp: causal_imaginary_part("Pi", m, sp) / sp ** 3, 4.0 * m * m)
+    weights = [wk * g_hat(k) * g_hat(-k) for k, wk in zip(_WEAK_K, _WEAK_MEASURE.flat)]
+    for c0, c1, c2 in ((0.0, 0.0, 0.0), (0.3, -0.5, 0.2)):
+        want = []
+        for eps in schedule:
+            total = 0.0
+            for wk, q in zip(weights, _WEAK_Q.flat):
+                s = eps * eps * q
+                total += wk * (c0 + c1 * s + c2 * s * s + s ** 3 * u(s))
+            want.append(total / ((2.0 * math.pi) ** 4 * eps ** 4))
+        got = weak_limit_vacuum(2, ScalingFamily(g_hat=g_hat, epsilon_schedule=schedule),
+                                constants=(c0, c1, c2), m=m)
+        assert np.allclose(got.values, want, rtol=1e-12, atol=0.0)

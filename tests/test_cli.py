@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from causalqed import cli
 from causalqed.cli import main
 from causalqed.wick import WickPolynomial
 
@@ -161,6 +163,20 @@ def test_fock_check_rejects_empty_grid_and_cutoff(tmp_path):
     assert not (tmp_path / "fock_check.json").exists()
 
 
+@pytest.mark.parametrize("failure", [ArithmeticError("table"), ValueError("grid"),
+                                     math.nan, math.inf])
+def test_fock_check_numeric_failure(tmp_path, monkeypatch, capsys, failure):
+    def check(grid, cutoff):
+        if isinstance(failure, Exception):
+            raise failure
+        return failure
+
+    monkeypatch.setattr(cli, "commutator_check", check)
+    assert run(tmp_path, "fock-check", "--grid-modes", "4", "--cutoff", "3") == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "fock_check.json").exists()
+
+
 def test_wick_expand_and_cap(tmp_path):
     assert run(tmp_path, "wick-expand", "--order", "2") == 0
     poly = WickPolynomial.from_json((tmp_path / "wick_order2.json").read_text())
@@ -173,9 +189,9 @@ def test_outputs_are_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
         assert main(["split", "--toy", "sgn-exp", "--out", str(d)]) == 0
-    assert (d1 / "split.csv").read_bytes() == (d2 / "split.csv").read_bytes()
-    assert ((d1 / "split_report.json").read_bytes()
-            == (d2 / "split_report.json").read_bytes())
+        assert main(["fock-check", "--out", str(d)]) == 0
+    for name in ("split.csv", "split_report.json", "fock_check.json"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_no_subcommand_prints_help():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalqed.distributions import CausalDistribution, propagator_distribution
 from causalqed.induction import LatticeToy
@@ -151,3 +153,42 @@ def test_dispersion_fails_loudly():
     for thr in (0.0, -1.0, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError):
             dispersion(lambda sp: 1.0, thr)
+    # an array with one element at the threshold, as a scalar there
+    transform = dispersion(lambda sp: 1.0 / (sp - 0.5), 1.0)
+    for z in (np.array([0.2, 1.0, 1.5]), np.array([[-1.0 + 0j], [1.0 + 0j]])):
+        with pytest.raises(ArithmeticError):
+            transform(z)
+
+
+def test_dispersion_array_shape_and_dtype():
+    transform = dispersion(lambda sp: 1.0 / (sp - 0.5), 1.0)
+    for z in (np.array(0.2), np.float64(0.2), 0.2):
+        assert isinstance(transform(z), float)
+    below = np.array([[-3.0, 0.0, 0.2], [0.9, 0.5, -1e6]])
+    got = transform(below)
+    assert got.shape == below.shape and got.dtype == np.float64
+    assert transform(below.astype(complex)).dtype == np.float64
+    for z in (np.array([0.2, 1.5]), np.array([0.2, 0.2 + 1e-3j]), np.array([[2.0 + 1.0j]])):
+        got = transform(z)
+        assert got.shape == z.shape and got.dtype == np.complex128
+
+
+# points below the threshold 1, on the cut, just off it (near the cut, so on
+# the Q_k branch) and z = 0
+_BELOW = st.floats(-1e6, 1.0, exclude_max=True)
+_CUT = st.floats(1.0, 1e6, exclude_min=True)
+_OFF = st.builds(complex, st.floats(-1e3, 1e3), st.sampled_from([1e-6, -1e-6, 3e-7]))
+_POINTS = st.lists(st.one_of(_BELOW, _CUT, _OFF, st.just(0.0)), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_POINTS)
+def test_dispersion_array_equals_the_scalar_path(points):
+    transform = dispersion(lambda sp: 1.0 / (sp - 0.5), 1.0)
+    z = np.array(points)
+    got = transform(z)
+    want = [transform(complex(p)) for p in points]
+    real = all(isinstance(p, float) and p < 1.0 for p in points)
+    assert got.dtype == (np.float64 if real else np.complex128)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
