@@ -119,27 +119,20 @@ def singularity_bound(spec: ExternalLineSpec, theory: str = "spinorQED") -> int:
     raise ValueError(f"unknown theory {theory!r}")
 
 
-def scaling_degree_estimate(d, direction, lam_min=4.0, lam_max=4096.0, samples=16,
-                            full=False):
+# the ray samples lam * direction at which scaling_degree_estimate fits
+_SCALING_LAMBDAS = np.geomspace(4.0, 4096.0, 16)
+
+
+def scaling_degree_estimate(d, direction) -> float:
     """Fitted growth exponent of |d(lam * direction)| vs lam on log-log axes.
 
-    Accepts a CausalDistribution or any callable of a 4-vector.  With
-    full=True also returns the fit residual and a monotonicity flag.
+    Accepts a CausalDistribution or any callable of a 4-vector.
     """
-    if samples < 8:
-        raise ValueError("need at least 8 samples along the ray")
     direction = np.asarray(direction, dtype=float)
-    lams = np.geomspace(lam_min, lam_max, samples)
-    vals = np.array([abs(complex(d(lam * direction))) for lam in lams])
+    vals = np.array([abs(complex(d(lam * direction))) for lam in _SCALING_LAMBDAS])
     if np.any(vals <= 0):
         raise ArithmeticError("distribution vanished along the ray; no exponent")
-    x = np.log(lams)
-    y = np.log(vals)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    monotone = bool(np.all(np.diff(y) >= -1e-9) or np.all(np.diff(y) <= 1e-9))
-    if full:
-        return float(slope), resid, monotone
+    slope, _ = np.polyfit(np.log(_SCALING_LAMBDAS), np.log(vals), 1)
     return float(slope)
 
 

@@ -110,16 +110,15 @@ class InductiveStep:
 MAX_SYMBOLIC_ORDER = 5
 
 
-def build_Aprime_Rprime(n: int, data: OrderData,
-                        max_order: int = MAX_SYMBOLIC_ORDER) -> InductiveStep:
+def build_Aprime_Rprime(n: int, data: OrderData) -> InductiveStep:
     """Partition sums over Z = X disjoint-union Y with X nonempty:
 
     A'_n = sum sign(X, Y, x_n) Sbar(X) S(Y, x_n)
     R'_n = sum sign(Y, x_n, X) S(Y, x_n) Sbar(X)
     D_n  = R'_n - A'_n
     """
-    if n > max_order:
-        raise SeriesError(f"symbolic order {n} exceeds the configured cap {max_order}")
+    if n > MAX_SYMBOLIC_ORDER:
+        raise SeriesError(f"symbolic order {n} exceeds the cap {MAX_SYMBOLIC_ORDER}")
     if n < 1:
         raise SeriesError("order must be >= 1")
     invert_series(data, n - 1)
@@ -251,6 +250,9 @@ def window_smear(fhat, t0: float, sigma: float = 0.1) -> complex:
 
     def node_sum(Es):
         vals = np.array([fhat(E) for E in Es.tolist()], dtype=complex)
+        if not np.all(np.isfinite(vals)):
+            E = Es[~np.isfinite(vals)][0]
+            raise ArithmeticError(f"non-finite window_smear sample fhat({E!r})")
         return np.sum(pref * vals * np.exp(-0.5 * (sigma * Es) ** 2 - 1j * Es * t0))
 
     n, total = 1, 0.5 * node_sum(np.array([-L, L]))  # trapezoid sum / h, one interval
@@ -262,20 +264,23 @@ def window_smear(fhat, t0: float, sigma: float = 0.1) -> complex:
     raise ArithmeticError(f"window_smear not converged with {n} trapezoid intervals")
 
 
-def lattice_support_check(fhat, side: str = "retarded",
-                          t_points=(1.0, 2.0, 3.0), sigma: float = 0.1) -> dict:
+# window centers |t| and width at which lattice_support_check smears
+_SUPPORT_T, _SUPPORT_SIGMA = (1.0, 2.0, 3.0), 0.1
+
+
+def lattice_support_check(fhat, side: str = "retarded") -> dict:
     """Max window-smeared magnitude on the forbidden side.
 
-    side = "retarded": windows at t = -t_points must pair to ~0;
-    "advanced": windows at +t_points; "causal": in one dimension the
+    side = "retarded": windows at t = -1, -2, -3 must pair to ~0;
+    "advanced": windows at t = +1, +2, +3; "causal": in one dimension the
     forward and backward cones cover every t != 0, so the forbidden
     region is empty and leakage is 0 by geometry.
     """
     if side == "causal":
         return {"leakage": 0.0, "reference": 1.0, "side": side}
     sgn = -1.0 if side == "retarded" else 1.0
-    forbidden = [window_smear(fhat, sgn * t, sigma) for t in t_points]
-    allowed = [window_smear(fhat, -sgn * t, sigma) for t in t_points]
+    forbidden = [window_smear(fhat, sgn * t, _SUPPORT_SIGMA) for t in _SUPPORT_T]
+    allowed = [window_smear(fhat, -sgn * t, _SUPPORT_SIGMA) for t in _SUPPORT_T]
     ref = max(abs(v) for v in allowed)
     return {
         "leakage": max(abs(v) for v in forbidden) / max(ref, 1e-300),

@@ -196,3 +196,64 @@ def test_outputs_are_deterministic(tmp_path):
 
 def test_no_subcommand_prints_help():
     assert main([]) == 2
+
+
+# argv shapes the benchmark jobs run through main in-process
+def test_massless_sweep_accepts_mass_and_custom_constants(tmp_path):
+    assert run(tmp_path, "adiabatic-sweep", "--channel", "massless_charge", "--m", "1.5",
+               "--normalization", "custom", "--c0", ".3", "--c1", ".1") == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["vacuum-pol", "--m", "0"],
+    ["adiabatic-sweep", "--channel", "Pi_into_A", "--m", "0"],
+    ["fock-check", "--grid-modes", "9"],
+    ["wick-expand", "--order", "6"],
+])
+def test_benchmark_rejections_are_validation_failures(tmp_path, argv):
+    assert run(tmp_path, *argv) == 2
+
+
+def _files(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "--toy", "sgn-exp-d3", "--c0", "0.25", "--c1", "-0.5", "--c2", "0.125"],
+    ["vacuum-pol", "--m", "1.25"],
+    ["self-energy", "--m", "1.25", "--mu", "0.1"],
+    ["adiabatic-sweep", "--channel", "Pi_into_current", "--m", "0.75",
+     "--normalization", "custom", "--c0", "0.2", "--c1", "-0.1"],
+    ["fock-check", "--grid-modes", "4", "--cutoff", "3"],
+    ["wick-expand", "--order", "2"],
+])
+def test_same_process_reruns_write_identical_file_sets(tmp_path, argv):
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    assert run(d1, *argv) == 0
+    assert run(d2, *argv) == 0
+    assert _files(d1) and _files(d1) == _files(d2)
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("check_on_shell", ["vacuum-pol", "--m", "1"]),
+    ("check_on_shell", ["self-energy", "--m", "1"]),
+    ("sweep", ["adiabatic-sweep", "--eps-steps", "2"]),
+    ("extend_series", ["wick-expand", "--order", "2"]),
+])
+def test_injected_numeric_failure_exits_3(tmp_path, monkeypatch, capsys, target, argv):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(cli, target, fail)
+    assert run(tmp_path, *argv) == 3
+    assert "numeric failure: injected" in capsys.readouterr().err
+
+
+def test_unusable_out_is_validation_failure(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    assert main(["fock-check", "--out", str(blocker)]) == 2
+    assert main(["vacuum-pol", "--out", str(blocker / "x")]) == 2
+    assert capsys.readouterr().err.count("validation failure") == 2
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]

@@ -125,6 +125,19 @@ def test_window_smear_fails_loudly_on_an_unresolved_pole():
         window_smear(lambda E: 1.0 / (E - 3.0 + 1e-6j), 1.0, 0.1)
 
 
+def test_window_smear_fails_fast_on_a_non_finite_sample():
+    calls = []
+
+    def fhat(E):
+        calls.append(E)
+        return math.nan if 10.0 < E < 20.0 else math.exp(-0.5 * E * E)
+
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        window_smear(fhat, 1.0, 0.1)
+    # the first level with a node in (10, 20) has 16 intervals: 17 samples in all
+    assert len(calls) == 17
+
+
 def test_retarded_support_check_flags_wrong_side():
     toy = LatticeToy()
     ret = toy.retarded_hat_exact
