@@ -119,6 +119,10 @@ class SweepResult:
     limit_estimate: complex = None
 
 
+# the shortest schedule classify_sweep can fit a slope to
+SWEEP_MIN_STEPS = 3
+
+
 def classify_sweep(epsilons, values) -> SweepResult:
     """Verdict rule: fit slope sigma of log|value| vs log eps on the last
     half of the schedule.  sigma <= -0.25 -> diverged; |sigma| < 0.1 with
@@ -127,7 +131,7 @@ def classify_sweep(epsilons, values) -> SweepResult:
     epsilons = tuple(float(e) for e in epsilons)
     values = tuple(complex(v) for v in values)
     n = len(values)
-    if n < 3:
+    if n < SWEEP_MIN_STEPS:
         return SweepResult(epsilons, values, "inconclusive", float("nan"))
     half = n // 2
     tail_e = np.array(epsilons[half:])

@@ -8,20 +8,23 @@ and raises on failure; main alone writes them (creating --out at the
 first write) and maps each outcome to an exit code: 0 success,
 2 validation failure (an unusable input or --out), 3 numeric failure
 (ArithmeticError or ValueError while computing).  The parser holds the
-defaults from DEFAULTS, which --help prints.
+defaults from DEFAULTS, which --help prints; it is built once per process
+and names each subcommand's cmd_* function, which main looks up when it
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from .adiabatic import ScalingFamily, gaussian_profile, sweep
+from .adiabatic import SWEEP_MIN_STEPS, ScalingFamily, gaussian_profile, sweep
 from .distributions import CausalDistribution, descriptor_from_json, scaling_degree_estimate
 from .fock import commutator_check, uniform_grid
 from .induction import LatticeToy, OrderData, extend_series
@@ -83,7 +86,7 @@ def _csv(header, rows) -> str:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(out: str, files: dict) -> None:
@@ -127,12 +130,9 @@ def cmd_split(args) -> dict:
         spec = SplitSpec(omega=omega, normalization=tuple(constants[:max(need, 0)]))
         result = split(d, spec)
     Es = np.linspace(-6.0, 6.0, 25)
-    rows = []
-    for E in Es:
-        dv = complex(d.eval_fn(E))
-        rv = complex(result.retarded.eval_fn(E))
-        av = complex(result.advanced.eval_fn(E))
-        rows.append((E, dv.real, dv.imag, rv.real, rv.imag, av.real, av.imag))
+    dv, rv, av = (np.asarray(f(Es), dtype=complex)
+                  for f in (d.eval_fn, result.retarded.eval_fn, result.advanced.eval_fn))
+    rows = zip(Es, dv.real, dv.imag, rv.real, rv.imag, av.real, av.imag)
     omega_est = scaling_degree_estimate(
         lambda p: d.eval_fn(float(np.asarray(p).reshape(-1)[0])),
         [1.0, 0.0, 0.0, 0.0])
@@ -186,6 +186,8 @@ def cmd_sweep(args) -> dict:
     with _input_errors():
         if not args.eps_start > args.eps_stop:
             raise _InvalidInput("schedule must satisfy eps_start > eps_stop")
+        if args.eps_steps < SWEEP_MIN_STEPS:
+            raise _InvalidInput(f"a sweep needs at least {SWEEP_MIN_STEPS} eps steps to classify")
         sched = tuple(np.geomspace(args.eps_start, args.eps_stop, args.eps_steps))
         family = ScalingFamily(g_hat=gaussian_profile().g_hat, epsilon_schedule=sched)
         green = None if channel == "massless_charge" else _green_from_args(
@@ -233,7 +235,11 @@ def cmd_wick_expand(args) -> dict:
     return {f"wick_order{order}.json": data.S[order].to_json() + "\n"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, one per process.  It holds no function and no mutable
+    table: each subcommand names its cmd_* function, and --toy is checked by
+    _split_input, so a patched cmd_* or toy table takes effect."""
     p = argparse.ArgumentParser(
         prog="causalqed",
         description="Causal perturbation theory batch runs.  Defaults: "
@@ -241,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     # each subcommand registers only the options its cmd_* reads
-    def subcommand(name, func, help):
+    def subcommand(name, handler, help):
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--out", default=".", help="output directory (default .)")
-        sp.set_defaults(func=func)
+        sp.set_defaults(handler=handler)
         return sp
 
     def green_options(sp, photon_mass):
@@ -256,18 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--c0", type=float, default=0.0)
         sp.add_argument("--c1", type=float, default=0.0)
 
-    sp = subcommand("split", cmd_split, "split a causal toy distribution")
+    sp = subcommand("split", "cmd_split", "split a causal toy distribution")
     sp.add_argument("--config", help="JSON configuration file")
-    sp.add_argument("--toy", choices=sorted(_TOYS))
+    sp.add_argument("--toy", help="built-in toy: " + ", ".join(sorted(_TOYS)))
     for flag in ("--c0", "--c1", "--c2"):
         sp.add_argument(flag, type=float)
 
     for name in ("vacuum-pol", "self-energy"):
-        sp = subcommand(name, cmd_green, f"build the {name} Green function")
+        sp = subcommand(name, "cmd_green", f"build the {name} Green function")
         green_options(sp, photon_mass=name == "self-energy")
         sp.add_argument("--tol", type=float, default=1e-8)
 
-    sp = subcommand("adiabatic-sweep", cmd_sweep, "run an adiabatic-limit sweep")
+    sp = subcommand("adiabatic-sweep", "cmd_sweep", "run an adiabatic-limit sweep")
     green_options(sp, photon_mass=True)
     sp.add_argument("--channel", default="Sigma_into_psi",
                     choices=["Sigma_into_psi", "Pi_into_A", "Pi_into_current",
@@ -276,24 +282,46 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-stop", type=float, default=DEFAULTS["eps_stop"])
     sp.add_argument("--eps-steps", type=int, default=DEFAULTS["eps_steps"])
 
-    sp = subcommand("fock-check", cmd_fock_check, "grid ladder-operator CCR/CAR check")
+    sp = subcommand("fock-check", "cmd_fock_check", "grid ladder-operator CCR/CAR check")
     sp.add_argument("--grid-modes", type=int, default=DEFAULTS["grid_modes"])
     sp.add_argument("--cutoff", type=int, default=DEFAULTS["cutoff"])
 
-    sp = subcommand("wick-expand", cmd_wick_expand, "canonical JSON of the order-n kernel")
+    sp = subcommand("wick-expand", "cmd_wick_expand", "canonical JSON of the order-n kernel")
     sp.add_argument("--order", type=int, default=DEFAULTS["order"])
     return p
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv) -> list:
+    """Write '--c0 -7.4e-05' as '--c0=-7.4e-05'.  argparse takes a token that
+    starts with '-' for an option flag unless it reads like -12 or -1.5, so
+    a negative float in scientific notation, or -inf, would stop the parse."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_float(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
     """Run one subcommand; the only place an outcome becomes an exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    if not getattr(args, "handler", None):
         parser.print_help()
         return EXIT_VALIDATION
     try:
-        files = args.func(args)
+        files = globals()[args.handler](args)  # the module attribute, patched or not
         with _input_errors():
             _write(args.out, files)
     except _InvalidInput as exc:

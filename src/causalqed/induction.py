@@ -243,13 +243,15 @@ def window_smear(fhat, t0: float, sigma: float = 0.1) -> complex:
     chihat(-E) dE for chi(t) = exp(-(t-t0)^2 / (2 sigma^2)); the Gaussian
     transform factor makes the E-integral converge on a finite range.  It is
     a trapezoid sum (Trefethen & Weideman, SIAM Rev. 56 (2014) 385) whose
-    step is halved until it agrees with its every-other-node sum.
+    step is halved until it agrees with its every-other-node sum.  fhat
+    takes the new nodes of each level as one ndarray and returns an array
+    of its shape.
     """
     pref = sigma * math.sqrt(2.0 * math.pi)
     L = 10.0 / sigma
 
     def node_sum(Es):
-        vals = np.array([fhat(E) for E in Es.tolist()], dtype=complex)
+        vals = np.asarray(fhat(Es), dtype=complex)
         if not np.all(np.isfinite(vals)):
             E = Es[~np.isfinite(vals)][0]
             raise ArithmeticError(f"non-finite window_smear sample fhat({E!r})")

@@ -69,16 +69,23 @@ _GL_SIZES, _GL_TAIL, _GL_DIRECT = [32 * 2 ** p for p in range(5)], 1e-13, 1e8
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
+def _points(E):
+    """E as a float, or as a float ndarray if it has dimensions: the sampled
+    callbacks here take either and are evaluated elementwise."""
+    return np.asarray(E, dtype=float) if isinstance(E, np.ndarray) and E.ndim else float(E)
+
+
 def _rational_table(f, center: float) -> np.ndarray:
     """a_k, k = -N..N-1, with f(center + w) = sum_k a_k exp(ik theta) / (1 - iw)
     and w = tan(theta / 2).  The k >= 0 terms are analytic above the real
     line, the k < 0 terms below.  The 2N samples sit at midpoints in theta,
-    so none is at w = 0.  N doubles until the outer quarter of |a_k| is
-    below 1e-14 of the largest."""
+    so none is at w = 0; f takes them as one ndarray and returns an array of
+    its shape.  N doubles until the outer quarter of |a_k| is below 1e-14 of
+    the largest."""
     for N in _TABLE_SIZES:
         theta = np.pi * (np.arange(2 * N) + 0.5) / N - np.pi
         w = np.tan(theta / 2.0)
-        g = np.array([f(center + x) for x in w.tolist()], dtype=complex) * (1.0 - 1j * w)
+        g = np.asarray(f(center + w), dtype=complex) * (1.0 - 1j * w)
         if not np.all(np.isfinite(g)):
             raise ArithmeticError("non-finite density sample in the rational-basis table")
         a = np.fft.fftshift(np.fft.fft(g)) * np.exp(-1j * np.arange(-N, N) * theta[0]) / (2 * N)
@@ -87,10 +94,19 @@ def _rational_table(f, center: float) -> np.ndarray:
     raise ArithmeticError(f"rational-basis table not converged at N = {N}")
 
 
-def _rational_half(a: np.ndarray, w) -> complex:
-    """The k >= 0 half of sum_k a_k rho_k(w), analytic above the real line."""
+def _rational_half(a: np.ndarray, w):
+    """The k >= 0 half of sum_k a_k rho_k(w), analytic above the real line.
+
+    Horner's rule in z = (1 + iw) / (1 - iw), which is exp(2i arctan w): a
+    float w gives a complex, an ndarray w an array of its shape, and every
+    temporary has the size of w, not len(w) x N."""
     N = len(a) // 2
-    return complex(np.dot(a[N:], np.exp(2j * np.arange(N) * np.arctan(w)))) / (1.0 - 1j * w)
+    z = (1.0 + 1j * w) / (1.0 - 1j * w)
+    total = 0 * z
+    for c in a[:N - 1:-1].tolist():  # a_{N-1} down to a_0
+        total *= z
+        total += c
+    return total / (1.0 - 1j * w)
 
 
 def _near(sigma, N: int):
@@ -191,7 +207,12 @@ def dispersion(density, thr: float):
 
 
 def split(d: CausalDistribution, spec: SplitSpec) -> SplitResult:
-    """Split a causal distribution into retarded and advanced parts."""
+    """Split a causal distribution into retarded and advanced parts.
+
+    d.eval_fn takes an ndarray of E and returns an array of its shape: the
+    rational-basis table samples it in one call per size.  The parts'
+    eval_fn take a float, giving a complex, or an ndarray, giving an array.
+    """
     if d.support_tag != "causal":
         raise SplitInputError("input must carry support_tag='causal'")
     if d.eval_fn is None:
@@ -204,18 +225,20 @@ def split(d: CausalDistribution, spec: SplitSpec) -> SplitResult:
     @functools.cache
     def table():
         # built at the first evaluation, where a table that does not converge should fail
-        return _rational_table(lambda Ep: complex(d.eval_fn(Ep)) / (Ep - E0) ** n, E0)
+        return _rational_table(
+            lambda Ep: np.asarray(d.eval_fn(Ep), dtype=complex) / (Ep - E0) ** n, E0)
 
     def ret_eval(E):
         # the k >= 0 half of the subtracted density is its retarded part
-        E = float(np.asarray(E).reshape(()))
-        val = (E - E0) ** n * _rational_half(table(), E - E0)
+        x = _points(E) - E0
+        val = x ** n * _rational_half(table(), x)
         for k, C in enumerate(consts):
-            val += C * (E - E0) ** k
+            val += C * x ** k
         return val
 
     def adv_eval(E):
-        return ret_eval(E) - complex(d.eval_fn(float(np.asarray(E).reshape(()))))
+        E = _points(E)
+        return ret_eval(E) - d.eval_fn(E)
 
     ret = CausalDistribution(eval_fn=ret_eval, mass_params=d.mass_params,
                              omega=omega, support_tag="retarded")
@@ -238,8 +261,9 @@ def toy_causal(power: int = 0) -> CausalDistribution:
         raise ValueError("power must be nonnegative")
 
     def eval_fn(E):
-        E = float(np.asarray(E).reshape(()))
-        return (E ** power) * 2j * E / (1.0 + E * E)
+        E = _points(E)
+        # a real quotient times 2j: numpy and Python round it alike
+        return 2j * (E ** power * E / (1.0 + E * E))
 
     return CausalDistribution(eval_fn=eval_fn, mass_params=(),
                               omega=power - 1, support_tag="causal")
@@ -249,7 +273,7 @@ def toy_retarded_exact(power: int = 0):
     """Closed-form retarded transform of toy_causal(power)."""
 
     def r(E):
-        E = float(np.asarray(E).reshape(()))
+        E = _points(E)
         return (E ** power) / (1.0 - 1j * E)
 
     return r
@@ -266,11 +290,12 @@ def polynomial_fit_residual(values_diff, Es, degree: int) -> float:
 
 
 def reconstruction_residual(d: CausalDistribution, result: SplitResult, Es) -> float:
-    """Max |ret - adv - d| over sample points, scaled by max |d|."""
-    ds = [complex(d.eval_fn(E)) for E in Es]
-    worst = max(abs(complex(result.retarded.eval_fn(E)) - complex(result.advanced.eval_fn(E)) - dv)
-                for E, dv in zip(Es, ds))
-    return worst / max(max(map(abs, ds)), 1e-300)
+    """Max |ret - adv - d| over sample points, scaled by max |d|; each of the
+    three is evaluated once, on all the points."""
+    Es = np.asarray(Es, dtype=float)
+    ds, ret, adv = (np.asarray(f(Es), dtype=complex)
+                    for f in (d.eval_fn, result.retarded.eval_fn, result.advanced.eval_fn))
+    return float(np.max(np.abs(ret - adv - ds)) / max(np.max(np.abs(ds)), 1e-300))
 
 
 def order_preservation_check(d: CausalDistribution, result: SplitResult):

@@ -114,12 +114,12 @@ def test_self_energy_without_photon_mass(tmp_path):
                "--normalization", "custom", "--c0", "0", "--c1", "0") == 3
     # the sweep rejects the same Green-function input as a validation failure
     assert run(tmp_path, "adiabatic-sweep", "--channel", "Sigma_into_psi",
-               "--mu", "0", "--eps-steps", "2") == 2
+               "--mu", "0", "--eps-steps", "3") == 2
 
 
 def test_non_finite_mass_is_validation_error(tmp_path):
     assert run(tmp_path, "self-energy", "--m", "inf") == 2
-    assert run(tmp_path, "adiabatic-sweep", "--m", "inf", "--eps-steps", "2") == 2
+    assert run(tmp_path, "adiabatic-sweep", "--m", "inf", "--eps-steps", "3") == 2
     assert run(tmp_path, "vacuum-pol", "--m", "nan") == 2
     assert run(tmp_path, "self-energy", "--m", "1", "--mu", "nan") == 2
 
@@ -128,7 +128,7 @@ def test_shell_constants_at_the_threshold_are_numeric_failure(tmp_path):
     # (1 + 1e-300)^2 rounds to 1: the shell point is the threshold point
     assert run(tmp_path, "self-energy", "--m", "1", "--mu", "1e-300") == 3
     assert run(tmp_path, "adiabatic-sweep", "--m", "1", "--mu", "1e-300",
-               "--eps-steps", "2") == 3
+               "--eps-steps", "3") == 3
 
 
 def test_sweep_on_shell_and_off_shell(tmp_path):
@@ -146,6 +146,21 @@ def test_sweep_on_shell_and_off_shell(tmp_path):
 def test_sweep_schedule_validation(tmp_path):
     assert run(tmp_path, "adiabatic-sweep", "--eps-start", "1e-6",
                "--eps-stop", "1e-3") == 2
+
+
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_sweep_too_short_to_classify_is_validation_error(tmp_path, capsys, steps):
+    # a two-point schedule has no slope to fit; its verdict would carry a NaN exponent
+    assert run(tmp_path, "adiabatic-sweep", "--eps-steps", steps) == 2
+    assert "at least 3 eps steps" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_verdict.json").exists()
+
+
+def test_json_reports_refuse_non_finite_values(tmp_path, monkeypatch):
+    # NaN is not JSON (RFC 8259): a report that would carry one is a numeric failure
+    monkeypatch.setattr(cli, "check_on_shell", lambda green, tol: {"residual": math.nan})
+    assert run(tmp_path, "vacuum-pol", "--m", "1") == 3
+    assert not (tmp_path / "vacuum_pol_report.json").exists()
 
 
 def test_fock_check(tmp_path):
@@ -198,6 +213,57 @@ def test_no_subcommand_prints_help():
     assert main([]) == 2
 
 
+# (subcommand, its cmd_* function, a float option it reads, the argparse dest)
+_FLOAT_OPTIONS = [
+    ("split", "cmd_split", "--c0", "c0"),
+    ("split", "cmd_split", "--c1", "c1"),
+    ("split", "cmd_split", "--c2", "c2"),
+    ("vacuum-pol", "cmd_green", "--m", "m"),
+    ("vacuum-pol", "cmd_green", "--c0", "c0"),
+    ("vacuum-pol", "cmd_green", "--c1", "c1"),
+    ("vacuum-pol", "cmd_green", "--tol", "tol"),
+    ("self-energy", "cmd_green", "--mu", "mu"),
+    ("adiabatic-sweep", "cmd_sweep", "--m", "m"),
+    ("adiabatic-sweep", "cmd_sweep", "--mu", "mu"),
+    ("adiabatic-sweep", "cmd_sweep", "--c0", "c0"),
+    ("adiabatic-sweep", "cmd_sweep", "--c1", "c1"),
+    ("adiabatic-sweep", "cmd_sweep", "--eps-start", "eps_start"),
+    ("adiabatic-sweep", "cmd_sweep", "--eps-stop", "eps_stop"),
+]
+
+
+@pytest.mark.parametrize("command, handler, flag, dest", _FLOAT_OPTIONS)
+def test_float_options_take_every_float_repr(tmp_path, monkeypatch, command, handler, flag, dest):
+    # argparse alone reads '-7.40791508777594e-05' and '-inf' as option flags
+    seen = []
+    monkeypatch.setattr(cli, handler, lambda args: seen.append(args) or {})
+    values = (-7.40791508777594e-05, -1e-300, -2.5e+300, -math.inf, math.inf, -0.0, 0.375)
+    for value in values:
+        assert run(tmp_path, command, flag, repr(value)) == 0
+        assert main([command, f"{flag}={value!r}", "--out", str(tmp_path)]) == 0
+    got = [getattr(args, dest) for args in seen]
+    assert got == [v for v in values for _ in range(2)]
+    assert run(tmp_path, command, flag, "nan") == 0
+    assert math.isnan(getattr(seen[-1], dest))
+
+
+def test_main_dispatches_through_the_module_attribute(tmp_path, monkeypatch):
+    # the parser is built once per process, so it must not hold cmd_split itself
+    main(["split", "--toy", "sgn-exp", "--out", str(tmp_path / "warm")])
+    calls = []
+    monkeypatch.setattr(cli, "cmd_split", lambda args: calls.append(args.toy) or {"x.txt": "x\n"})
+    assert run(tmp_path, "split", "--toy", "sgn-exp") == 0
+    assert calls == ["sgn-exp"]
+    assert (tmp_path / "x.txt").read_text() == "x\n"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_unknown_toy_is_validation_error(tmp_path, capsys):
+    assert run(tmp_path, "split", "--toy", "nosuch") == 2
+    assert "unknown toy distribution 'nosuch'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # argv shapes the benchmark jobs run through main in-process
 def test_massless_sweep_accepts_mass_and_custom_constants(tmp_path):
     assert run(tmp_path, "adiabatic-sweep", "--channel", "massless_charge", "--m", "1.5",
@@ -237,7 +303,7 @@ def test_same_process_reruns_write_identical_file_sets(tmp_path, argv):
 @pytest.mark.parametrize("target, argv", [
     ("check_on_shell", ["vacuum-pol", "--m", "1"]),
     ("check_on_shell", ["self-energy", "--m", "1"]),
-    ("sweep", ["adiabatic-sweep", "--eps-steps", "2"]),
+    ("sweep", ["adiabatic-sweep", "--eps-steps", "3"]),
     ("extend_series", ["wick-expand", "--order", "2"]),
 ])
 def test_injected_numeric_failure_exits_3(tmp_path, monkeypatch, capsys, target, argv):

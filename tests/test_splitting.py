@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalqed import cli
 from causalqed.distributions import CausalDistribution, propagator_distribution
 from causalqed.induction import LatticeToy
 from causalqed.splitting import (SplitInputError, SplitSpec,
@@ -192,3 +193,49 @@ def test_dispersion_array_equals_the_scalar_path(points):
     assert got.dtype == (np.float64 if real else np.complex128)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-14 * abs(w)
+
+
+def test_split_table_samples_the_density_once_per_size():
+    toy, shapes = LatticeToy(), []
+
+    def density(E):
+        shapes.append(np.shape(E))
+        return toy.commutator_hat(E, 2)
+
+    result = split(CausalDistribution(eval_fn=density, omega=-2, support_tag="causal"),
+                   SplitSpec(omega=-2))
+    result.retarded.eval_fn(0.5)
+    assert shapes == [(64,), (128,), (256,), (512,)]
+
+
+def test_split_parts_and_toys_keep_the_shape():
+    E = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+    result = split(toy_causal(3), SplitSpec(omega=2, normalization=(0.5, -0.25, 0.125)))
+    for f in (toy_causal(3).eval_fn, toy_retarded_exact(3),
+              result.retarded.eval_fn, result.advanced.eval_fn):
+        got = f(E)
+        assert got.shape == E.shape and got.dtype == np.complex128
+        assert got[1, 2] == pytest.approx(f(3.0), rel=1e-13)
+        for x in (1.5, np.float64(1.5), np.array(1.5)):
+            assert isinstance(f(x), complex)
+
+
+# the three built-in toys of the CLI, with normalization constants where omega >= 0
+_TOY_NAMES = st.sampled_from(sorted(cli._TOYS))
+_TOY_POINTS = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30)
+_TOY_CONSTANTS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_TOY_NAMES, _TOY_POINTS, _TOY_CONSTANTS)
+def test_split_array_equals_the_scalar_path(name, points, constants):
+    d, omega = cli._TOYS[name]()
+    result = split(d, SplitSpec(omega=omega,
+                                normalization=constants[:ambiguity_dimension(omega)]))
+    E = np.array(points)
+    for part in (result.retarded, result.advanced):
+        got = part.eval_fn(E)
+        assert got.shape == E.shape and got.dtype == np.complex128
+        want = [part.eval_fn(x) for x in points]
+        assert all(isinstance(w, complex) for w in want)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
