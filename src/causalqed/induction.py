@@ -8,7 +8,6 @@ machine-checkable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -80,12 +79,16 @@ def invert_series(data: OrderData, n: int) -> None:
         if k not in data.S:
             raise SeriesError(f"S_{k} needed to invert the series at order {k}")
         labels = slot_names(k)
-        total = WickPolynomial()
-        for X, Y in _proper_partitions(labels):
-            sign = reorder_sign(data.graded(labels), data.graded(X + Y))
-            term = operator_product(data.S_at(X), data.Sbar_at(Y)).scaled(-sign)
-            total = total + term
-        data.Sbar[k] = total
+        source = data.graded(labels)
+
+        def products(j):
+            return (operator_product(data.S_at(slot_names(j)),
+                                     data.Sbar_at(slot_names(k - j, offset=j))),)
+
+        def signs(X, Y):
+            return (-reorder_sign(source, data.graded(X + Y)),)
+
+        (data.Sbar[k],) = _partition_sums(labels, (), 1, products, signs)
 
 
 def _proper_partitions(labels):
@@ -98,6 +101,36 @@ def _proper_partitions(labels):
         yield X, Y
 
 
+def _partition_sums(Z, tail, width, products, signs):
+    """Signed partition sums over Z = X disjoint-union Y with X nonempty.
+
+    The kernels are permutation symmetric (Epstein-Glaser), so every
+    partition with |X| = j gives a relabelled copy of one product on
+    canonical slots.  products(j) returns one product per sum, `width` in
+    all, with X on x1..xj, Y on the next slots and tail last.  Each sum
+    adds its product relabelled to X + Y + tail, times its entry of
+    signs(X, Y).  The partitions are visited in `_proper_partitions`
+    order, so every key adds its float terms in the order of a
+    per-partition loop, and each size's products are dropped after their
+    last partition.
+    """
+    canonical = slot_names(len(Z) + len(tail))
+    remaining = {j: math.comb(len(Z), j) for j in range(1, len(Z) + 1)}
+    held, sums = {}, [{} for _ in range(width)]
+    for X, Y in _proper_partitions(Z):
+        j = len(X)
+        if j not in held:
+            held[j] = products(j)
+        mapping = dict(zip(canonical, X + Y + tail))
+        for total, product, sign in zip(sums, held[j], signs(X, Y)):
+            for key, c in product.relabel(mapping)._terms.items():
+                total[key] = total.get(key, 0) + sign * c
+        remaining[j] -= 1
+        if not remaining[j]:
+            del held[j]
+    return [WickPolynomial._canonical(total.items()) for total in sums]
+
+
 @dataclass
 class InductiveStep:
     order: int
@@ -107,7 +140,7 @@ class InductiveStep:
     n_partitions: int
 
 
-MAX_SYMBOLIC_ORDER = 5
+MAX_SYMBOLIC_ORDER = 6
 
 
 def build_Aprime_Rprime(n: int, data: OrderData) -> InductiveStep:
@@ -125,20 +158,20 @@ def build_Aprime_Rprime(n: int, data: OrderData) -> InductiveStep:
     Z = slot_names(n - 1)
     xn = f"x{n}"
     source = data.graded(Z + (xn,))
-    Ap = WickPolynomial()
-    Rp = WickPolynomial()
-    count = 0
-    for X, Y in _proper_partitions(Z):
-        count += 1
-        s_a = reorder_sign(source, data.graded(X + Y + (xn,)))
-        s_r = reorder_sign(source, data.graded(Y + (xn,) + X))
-        SY = data.S_at(Y + (xn,))
-        SbX = data.Sbar_at(X)
-        Ap = Ap + operator_product(SbX, SY).scaled(s_a)
-        Rp = Rp + operator_product(SY, SbX).scaled(s_r)
+
+    def products(j):
+        SbX = data.Sbar_at(slot_names(j))
+        SY = data.S_at(slot_names(n - j, offset=j))
+        return operator_product(SbX, SY), operator_product(SY, SbX)
+
+    def signs(X, Y):
+        return (reorder_sign(source, data.graded(X + Y + (xn,))),
+                reorder_sign(source, data.graded(Y + (xn,) + X)))
+
+    Ap, Rp = _partition_sums(Z, (xn,), 2, products, signs)
     scale = max(Ap.max_abs_coeff(), Rp.max_abs_coeff(), 1.0)
     D = (Rp - Ap).chopped(1e-12, scale=scale)
-    return InductiveStep(order=n, Aprime=Ap, Rprime=Rp, D=D, n_partitions=count)
+    return InductiveStep(order=n, Aprime=Ap, Rprime=Rp, D=D, n_partitions=partition_count(n))
 
 
 def _coefficient_key(factors) -> str:

@@ -11,8 +11,7 @@ factor tags to functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import total_ordering
+from typing import NamedTuple
 
 from .grassmann import FERMI, inversion_sign
 
@@ -41,9 +40,13 @@ class ContractionError(ValueError):
     """Requested contraction between incompatible field legs."""
 
 
-@total_ordering
-@dataclass(frozen=True)
-class FieldLeg:
+class FieldLeg(NamedTuple):
+    """One emission or absorption leg of a field at a spacetime slot.
+
+    A tuple, so hashing and equality run in C; every ordering operator
+    follows `sort_key` (creation legs first), not tuple order.
+    """
+
     field: str
     character: str  # "cre" | "ann"
     slot: str  # spacetime variable label
@@ -60,19 +63,25 @@ class FieldLeg:
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
+    def __le__(self, other):
+        return self.sort_key() <= other.sort_key()
 
-@total_ordering
-@dataclass(frozen=True)
-class Factor:
+    def __gt__(self, other):
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other):
+        return self.sort_key() >= other.sort_key()
+
+
+class Factor(NamedTuple):
+    """A symbolic coefficient factor; tuple order is `key` order."""
+
     kind: str  # "pair" | "tag" | "ret"
     name: str
     args: tuple = ()
 
     def key(self):
         return (self.kind, self.name, self.args)
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
 
 def pair_factor(left: FieldLeg, right: FieldLeg) -> Factor:
@@ -82,22 +91,35 @@ def pair_factor(left: FieldLeg, right: FieldLeg) -> Factor:
     return Factor("pair", name, (left.slot, right.slot, left.index, right.index))
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with fn(k)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _normal_order(legs):
     """Stable-sort legs into canonical order; return (sign, tuple) or None.
 
     Returns None when two identical fermionic legs collide (the monomial
     vanishes).  The sign is the fermionic sign of the reordering.
     """
-    indexed = sorted(range(len(legs)), key=lambda i: legs[i].sort_key())
-    ordered = tuple(legs[i] for i in indexed)
-    for a, b in zip(ordered, ordered[1:]):
-        if a == b and a.grade == FERMI:
-            return None
+    keys = [leg.sort_key() for leg in legs]
+    indexed = sorted(range(len(legs)), key=keys.__getitem__)
+    ordered = tuple([legs[i] for i in indexed])
+    if len(set(ordered)) < len(ordered):
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b and a.grade == FERMI:
+                return None
     return inversion_sign([i for i in indexed if legs[i].grade == FERMI]), ordered
 
 
-@dataclass(frozen=True)
-class WickMonomial:
+class WickMonomial(NamedTuple):
     coeff: complex
     factors: tuple  # sorted tuple of Factor
     legs: tuple  # normal-ordered tuple of FieldLeg
@@ -113,12 +135,9 @@ class WickPolynomial:
 
     def __init__(self, monomials=()):
         table = {}
-        for mono in monomials:
-            if isinstance(mono, WickMonomial):
-                coeff, factors, legs = mono.coeff, mono.factors, mono.legs
-            else:
-                coeff, factors, legs = mono
-            res = _normal_order(list(legs))
+        orders = _Memo(_normal_order)  # monomials repeat few leg tuples
+        for coeff, factors, legs in monomials:
+            res = orders[tuple(legs)]
             if res is None:
                 continue
             sign, ordered = res
@@ -151,7 +170,10 @@ class WickPolynomial:
         return WickPolynomial._canonical(merged.items())
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        merged = dict(self._terms)
+        for key, c in other._terms.items():
+            merged[key] = merged.get(key, 0) - c
+        return WickPolynomial._canonical(merged.items())
 
     def scaled(self, z):
         return WickPolynomial._canonical((k, z * c) for k, c in self._terms.items())
@@ -170,20 +192,21 @@ class WickPolynomial:
         return WickPolynomial._canonical((k, c) for k, c in self._terms.items() if abs(c) > cut)
 
     def relabel(self, mapping):
-        """Rename spacetime slots in legs and factor args."""
+        """Rename spacetime slots in legs and factor args.
+
+        A polynomial repeats few distinct legs and factors over many
+        terms, so each is renamed once per call.
+        """
 
         def ren(s):
             return mapping.get(s, s)
 
-        out = []
-        for (factors, legs), c in self._terms.items():
-            new_factors = tuple(
-                Factor(f.kind, f.name, tuple(ren(a) if isinstance(a, str) else a for a in f.args))
-                for f in factors
-            )
-            new_legs = tuple(FieldLeg(l.field, l.character, ren(l.slot), l.index) for l in legs)
-            out.append(WickMonomial(c, new_factors, new_legs))
-        return WickPolynomial(out)
+        leg = _Memo(lambda l: FieldLeg(l.field, l.character, ren(l.slot), l.index))
+        factor = _Memo(lambda f: Factor(
+            f.kind, f.name, tuple(ren(a) if isinstance(a, str) else a for a in f.args)))
+        return WickPolynomial([
+            (c, tuple(map(factor.__getitem__, factors)), tuple(map(leg.__getitem__, legs)))
+            for (factors, legs), c in self._terms.items()])
 
     def to_json(self) -> str:
         rows = []
@@ -282,40 +305,50 @@ def _matchings(ann_legs, cre_legs):
     return rec(0)
 
 
+def _contractions(legs):
+    """(pairing factors, sign, uncontracted legs) of every contraction of
+    annihilation legs of legs_a against creation legs of legs_b, for
+    legs = (legs_a, legs_b).
+
+    The sign is the fermionic sign of the reorder that puts each
+    contracted pair side by side, in annihilation-position order, ahead of
+    the uncontracted legs.
+    """
+    legs_a, legs_b = legs
+    legs_all = legs_a + legs_b
+    offset = len(legs_a)
+    ann_a = [(i, leg) for i, leg in enumerate(legs_a) if leg.character == ANNIHILATION]
+    cre_b = [(offset + j, leg) for j, leg in enumerate(legs_b) if leg.character == CREATION]
+    out = []
+    for pairs in _matchings(ann_a, cre_b):
+        pair_factors, order = [], []
+        for (pa, la), (pb, lb) in pairs:
+            order += (pa, pb)
+            pair_factors.append(pair_factor(la, lb))
+        dead = set(order)
+        alive = [k for k in range(len(legs_all)) if k not in dead]
+        sign = inversion_sign([k for k in order + alive if legs_all[k].grade == FERMI])
+        out.append((tuple(pair_factors), sign, tuple(legs_all[k] for k in alive)))
+    return out
+
+
 def operator_product(A: WickPolynomial, B: WickPolynomial) -> WickPolynomial:
     """Operator product expanded into normal form (Wick theorem).
 
     Sums over all ways to contract annihilation legs of A against
     creation legs of B of the matching field type; every contraction
-    contributes a pairing factor and the fermionic sign of the reorder
-    that puts each contracted pair side by side, in annihilation-position
-    order, ahead of the uncontracted legs.
+    contributes a pairing factor and a fermionic sign (`_contractions`).
+    Many monomials share their legs, so the contractions are enumerated
+    once per pair of leg tuples.
     """
     out = []
+    contractions = _Memo(_contractions)
     b_terms = B.terms
     for ma in A.terms:
-        ann_a = [(i, leg) for i, leg in enumerate(ma.legs) if leg.character == ANNIHILATION]
-        offset = len(ma.legs)
         for mb in b_terms:
-            legs_all = ma.legs + mb.legs
-            cre_b = [
-                (offset + j, leg)
-                for j, leg in enumerate(mb.legs)
-                if leg.character == CREATION
-            ]
-            for pairs in _matchings(ann_a, cre_b):
-                factors = list(ma.factors) + list(mb.factors)
-                order = []
-                for (pa, la), (pb, lb) in pairs:
-                    order += (pa, pb)
-                    factors.append(pair_factor(la, lb))
-                dead = set(order)
-                alive = [k for k in range(len(legs_all)) if k not in dead]
-                sign = inversion_sign([k for k in order + alive if legs_all[k].grade == FERMI])
-                legs = tuple(legs_all[k] for k in alive)
-                out.append(
-                    WickMonomial(sign * ma.coeff * mb.coeff, tuple(sorted(factors)), legs)
-                )
+            factors = ma.factors + mb.factors
+            for pair_factors, sign, alive in contractions[ma.legs, mb.legs]:
+                out.append((sign * ma.coeff * mb.coeff, factors + pair_factors, alive))
     return WickPolynomial(out)
 
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalqed.grassmann import (BOSE, FERMI, GradedVar, PartitionError,
                                  reorder_sign)
@@ -46,6 +48,20 @@ def test_reorder_sign_matches_bubble_oracle():
         target = list(source)
         rng.shuffle(target)
         assert reorder_sign(source, target) == brute_sign(source, target)
+
+
+@st.composite
+def _graded_reorderings(draw):
+    grades = draw(st.lists(st.sampled_from([BOSE, FERMI]), min_size=1, max_size=9))
+    source = [GradedVar(f"v{i}", g) for i, g in enumerate(grades)]
+    return source, draw(st.permutations(source))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_graded_reorderings())
+def test_reorder_sign_is_the_parity_of_fermionic_transpositions(case):
+    source, target = case
+    assert reorder_sign(source, target) == brute_sign(source, target)
 
 
 def test_reorder_sign_is_multiplicative():

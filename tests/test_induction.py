@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from causalqed import induction
+from causalqed.grassmann import reorder_sign
 from causalqed.induction import (LatticeToy, OrderData, SeriesError,
-                                 build_Aprime_Rprime, extend_series,
-                                 invert_series, lattice_support_check,
-                                 partition_count, slot_names, symbolic_split,
-                                 window_smear)
-from causalqed.wick import ONE, operator_product, scalar_vertex
+                                 _proper_partitions, build_Aprime_Rprime,
+                                 extend_series, invert_series,
+                                 lattice_support_check, partition_count,
+                                 slot_names, symbolic_split, window_smear)
+from causalqed.wick import (ONE, WickPolynomial, free_field, operator_product,
+                            qed_vertex, scalar_vertex, wick_product)
 
 
 def make_data(power=1):
@@ -165,3 +168,89 @@ def test_linear_vertex_series_keeps_leg_parity():
     extend_series(data, 4)
     assert len(data.S[4]) > 0
     assert all(len(m.legs) % 2 == 0 for m in data.S[4].terms)
+
+
+# The partition sums as a loop with one operator product per partition:
+# the reference that the slot-symmetric sums must equal exactly.
+
+def _reference_invert(data, n):
+    for k in range(1, n + 1):
+        labels = slot_names(k)
+        total = WickPolynomial()
+        for X, Y in _proper_partitions(labels):
+            sign = reorder_sign(data.graded(labels), data.graded(X + Y))
+            total = total + operator_product(data.S_at(X), data.Sbar_at(Y)).scaled(-sign)
+        data.Sbar[k] = total
+
+
+def _reference_Aprime_Rprime(n, data):
+    Z, xn = slot_names(n - 1), f"x{n}"
+    source = data.graded(Z + (xn,))
+    Ap, Rp = WickPolynomial(), WickPolynomial()
+    for X, Y in _proper_partitions(Z):
+        s_a = reorder_sign(source, data.graded(X + Y + (xn,)))
+        s_r = reorder_sign(source, data.graded(Y + (xn,) + X))
+        SY, SbX = data.S_at(Y + (xn,)), data.Sbar_at(X)
+        Ap = Ap + operator_product(SbX, SY).scaled(s_a)
+        Rp = Rp + operator_product(SY, SbX).scaled(s_r)
+    return Ap, Rp
+
+
+# a coupling whose float products leave cancellation residues, so a change
+# of summation order shows as extra terms (linear order 5: 452 -> 524)
+_COUPLING = 0.7j * (0.6 + 0.8j)
+
+
+@pytest.mark.parametrize("vertex, n", [("linear", 5), ("cubic", 3), ("qed", 2)])
+def test_partition_sums_equal_the_per_partition_loop_exactly(vertex, n):
+    V = {"linear": lambda: scalar_vertex("x1", power=1),
+         "cubic": lambda: scalar_vertex("x1", power=3),
+         "qed": lambda: qed_vertex("x1")}[vertex]()
+    data = OrderData(S={1: V.scaled(1j * _COUPLING)})
+    extend_series(data, n - 1)
+    reference = OrderData(S=dict(data.S))
+    _reference_invert(reference, n - 1)
+    step = build_Aprime_Rprime(n, data)  # fills data.Sbar up to n - 1
+    for k in range(1, n):
+        assert data.Sbar[k]._terms == reference.Sbar[k]._terms
+    Ap, Rp = _reference_Aprime_Rprime(n, reference)
+    assert step.Aprime._terms == Ap._terms
+    assert step.Rprime._terms == Rp._terms
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_partition_sums_make_one_product_per_block_size(monkeypatch, n):
+    data = make_data(power=1)
+    extend_series(data, n)
+    invert_series(data, n - 1)
+    calls = {"products": 0, "partitions": 0}
+    product, partitions = induction.operator_product, induction._proper_partitions
+
+    def counting_product(A, B):
+        calls["products"] += 1
+        return product(A, B)
+
+    def counting_partitions(labels):
+        for item in partitions(labels):
+            calls["partitions"] += 1
+            yield item
+
+    monkeypatch.setattr(induction, "operator_product", counting_product)
+    monkeypatch.setattr(induction, "_proper_partitions", counting_partitions)
+    build_Aprime_Rprime(n, data)
+    assert calls == {"products": 2 * (n - 1), "partitions": partition_count(n)}
+    calls.update(products=0, partitions=0)
+    invert_series(data, n)
+    assert calls == {"products": n, "partitions": 2 ** n - 1}
+
+
+def test_linear_series_reaches_order_6_with_its_top_sector():
+    data = OrderData(S={1: scalar_vertex("x1", power=1).scaled(1j * _COUPLING)})
+    extend_series(data, 6)  # raises SeriesError if the routes disagree
+    top = WickPolynomial._canonical(
+        (key, c) for key, c in data.S[6]._terms.items() if len(key[1]) == 6)
+    want = wick_product([free_field("scalar", x) for x in slot_names(6)],
+                        coeff=(1j * _COUPLING) ** 6)
+    assert top._terms.keys() == want._terms.keys()
+    for key, c in want._terms.items():
+        assert top._terms[key] == pytest.approx(c, rel=1e-12)

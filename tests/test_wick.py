@@ -1,6 +1,11 @@
+import functools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalqed import wick
+from causalqed.induction import OrderData, extend_series, slot_names
 from causalqed.wick import (ONE, ZERO, ContractionError, Factor, FieldLeg,
                             WickMonomial, WickPolynomial, free_field,
                             operator_product, pair_factor, qed_vertex,
@@ -90,6 +95,9 @@ def test_relabel_moves_slots_and_factor_args():
     renamed = prod.relabel({"x": "u", "y": "v"})
     direct = operator_product(free_field("scalar", "u"), free_field("scalar", "v"))
     assert renamed == direct
+    # vertex tags and fermion pairings carry slots too
+    prod = operator_product(qed_vertex("x"), qed_vertex("y"))
+    assert prod.relabel({"x": "v", "y": "u"}) == operator_product(qed_vertex("v"), qed_vertex("u"))
 
 
 def test_json_roundtrip():
@@ -147,3 +155,55 @@ def test_canonical_operations_skip_normal_ordering(monkeypatch):
     monkeypatch.undo()
     assert merged == raw
     assert 0 < len(merged[3]) < len(P)
+
+
+_LEGS = st.builds(FieldLeg, st.sampled_from(sorted(wick.FIELDS)),
+                  st.sampled_from(["cre", "ann"]), st.sampled_from(["x1", "x2", "y"]),
+                  st.sampled_from(["", "a", "mu"]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_LEGS, _LEGS)
+def test_leg_comparisons_follow_sort_key(a, b):
+    ka, kb = a.sort_key(), b.sort_key()
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb)
+    assert (a == b) == (hash(a) == hash(b) and a == FieldLeg(*b))
+
+
+def test_factor_order_is_key_order():
+    fs = [Factor("tag", "gamma", ("y",)), Factor("pair", "S+", ("x", "y", "a", "b")),
+          Factor("ret", "k", (2,)), Factor("pair", "D+", ("x", "y", "", ""))]
+    assert sorted(fs) == sorted(fs, key=Factor.key)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_two(vertex):
+    data = OrderData(S={1: (qed_vertex("x1") if vertex == "qed" else scalar_vertex("x1", 3))
+                        .scaled(0.7j * (0.6 + 0.8j))})
+    extend_series(data, 2)
+    return data.S[2]
+
+
+def _operand(kind, first):
+    """A kernel on the slots x<first>, ... and the number of slots it uses."""
+    if kind.startswith("S2"):
+        return _order_two(kind[3:]).relabel(dict(zip(slot_names(2), slot_names(2, first - 1)))), 2
+    if kind == "qed":
+        return qed_vertex(f"x{first}"), 1
+    return scalar_vertex(f"x{first}", int(kind[-1])), 1
+
+
+_OPERANDS = st.sampled_from(["qed", "phi1", "phi2", "phi3", "S2 qed", "S2 phi3"])
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_OPERANDS, _OPERANDS, st.permutations(slot_names(4)))
+def test_relabel_commutes_with_operator_product_exactly(kind_a, kind_b, image):
+    # the slot-symmetric partition sums of the induction rely on this identity;
+    # a product of two order-2 kernels takes seconds, so each draw has at most one
+    assume(not (kind_a.startswith("S2") and kind_b.startswith("S2")))
+    A, used = _operand(kind_a, 1)
+    B, _ = _operand(kind_b, 1 + used)
+    sigma = dict(zip(slot_names(4), image))
+    assert (operator_product(A, B).relabel(sigma)._terms
+            == operator_product(A.relabel(sigma), B.relabel(sigma))._terms)
