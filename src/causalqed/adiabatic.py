@@ -94,22 +94,6 @@ def bump_profile(alpha0: float = 1.0, width: float = 1.0, shape: float = 0.5) ->
     return ScalingFamily(g_hat=g_hat, alpha0=alpha0)
 
 
-_DELTA_X, _DELTA_W = np.polynomial.legendre.leggauss(20)
-_DELTA_RULE = tuple(zip(5.0 * _DELTA_X, 5.0 * _DELTA_W))  # k in [-5, 5]
-
-
-def scaling_delta_check(family: ScalingFamily, F, eps: float) -> complex:
-    """integral g_hat_eps(p) F(p) d^4p by substitution p = eps k.
-
-    Converges to (2 pi)^4 alpha0 F(0) as eps -> 0 (delta-family property).
-    """
-    total = 0.0 + 0.0j
-    for (k0, w0), (k1, w1), (k2, w2), (k3, w3) in itertools.product(_DELTA_RULE, repeat=4):
-        k = np.array([k0, k1, k2, k3])
-        total += w0 * w1 * w2 * w3 * family.g_hat(k) * F(eps * k)
-    return total
-
-
 @dataclass
 class SweepResult:
     epsilons: tuple
@@ -123,27 +107,43 @@ class SweepResult:
 SWEEP_MIN_STEPS = 3
 
 
+def _slope(x, y) -> float:
+    """Least-squares slope of y against x, in closed form."""
+    xc = x - x.mean()
+    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+
+
 def classify_sweep(epsilons, values) -> SweepResult:
     """Verdict rule: fit slope sigma of log|value| vs log eps on the last
     half of the schedule.  sigma <= -0.25 -> diverged; |sigma| < 0.1 with
     shrinking Cauchy increments -> converged; all-zero tail -> converged
-    with limit 0; otherwise inconclusive."""
+    with limit 0; otherwise inconclusive.
+
+    A diverged sweep reports as its exponent the slope of log|increment|
+    vs log eps over the tail increments |v_(k+1) - v_k|, each placed at
+    the geometric mean of its two eps, whenever one of them exceeds
+    1e-12 of the largest |value|.  A constant part cancels in the
+    increments, so kappa/eps + b gives -1 on a geometric schedule for
+    every kappa != 0, also where b dominates |value| and flattens sigma.
+    """
     epsilons = tuple(float(e) for e in epsilons)
     values = tuple(complex(v) for v in values)
     n = len(values)
     if n < SWEEP_MIN_STEPS:
         return SweepResult(epsilons, values, "inconclusive", float("nan"))
     half = n // 2
-    tail_e = np.array(epsilons[half:])
-    tail_v = np.array(values[half:])
-    mags = np.abs(tail_v)
+    log_e = np.log(np.array(epsilons))
+    mags = np.abs(np.array(values[half:]))
     scale = max(np.max(np.abs(values)), 1e-300)
     if np.all(mags <= 1e-14 * scale) or np.all(mags == 0.0):
         return SweepResult(epsilons, values, "converged", 0.0, 0.0 + 0.0j)
-    sigma = float(np.polyfit(np.log(tail_e), np.log(np.maximum(mags, 1e-300)), 1)[0])
+    sigma = _slope(log_e[half:], np.log(np.maximum(mags, 1e-300)))
     increments = np.abs(np.diff(np.array(values)))[half - 1:]
     shrinking = bool(np.all(np.diff(increments) <= 1e-12 * scale))
     if sigma <= -0.25:
+        if np.any(increments > 1e-12 * scale):
+            mid = 0.5 * (log_e[half - 1:-1] + log_e[half:])
+            sigma = _slope(mid, np.log(np.maximum(increments, 1e-300)))
         return SweepResult(epsilons, values, "diverged", sigma)
     if sigma >= 0.25 and bool(np.all(np.diff(mags) <= 0)):
         # decay to zero along the schedule
@@ -223,20 +223,6 @@ def _sweep_values(channel: str, green, xi, phi, epsilons, constants) -> list:
     kappa, regular = _dangerous_and_regular(channel, green)
     plain, over_e = _shell_overlap(green.m, xi, phi)
     return [kappa * over_e / (-1j * eps) + regular * plain for eps in epsilons]
-
-
-def smeared_contribution(channel: str, green, xi, phi, eps: float,
-                         constants=(0.0, 0.0)) -> complex:
-    """One smeared interacting-field kernel value at fixed eps.
-
-    The shell integral of xi phi multiplies [kappa / (-i eps p0) +
-    regular], with kappa the on-shell coefficient of the Green function.
-    The massless_charge channel replaces the Green function by the
-    standoff-anchored massless dispersion plus the sampled constants.
-    """
-    if eps < 1e-300:
-        raise ValueError("eps below safe minimum")
-    return _sweep_values(channel, green, xi, phi, (eps,), constants)[0]
 
 
 def epsilon_free_evaluation(channel: str, green, xi, phi) -> complex:

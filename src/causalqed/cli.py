@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .adiabatic import SWEEP_MIN_STEPS, ScalingFamily, gaussian_profile, sweep
-from .distributions import CausalDistribution, descriptor_from_json, scaling_degree_estimate
+from .distributions import CausalDistribution, scaling_degree_estimate
 from .fock import commutator_check, uniform_grid
 from .induction import LatticeToy, OrderData, extend_series
 from .qed2 import build_self_energy, build_vacuum_polarization, check_on_shell
@@ -110,10 +110,7 @@ def _split_input(args):
         if toy_name not in _TOYS:
             raise ValueError(f"unknown toy distribution {toy_name!r}")
         return _TOYS[toy_name]()
-    if cfg.get("descriptor"):
-        d = descriptor_from_json(json.dumps(cfg["descriptor"]))
-        return d, d.omega
-    raise ValueError("config must name a toy or supply a descriptor")
+    raise ValueError("config must name a toy")
 
 
 def cmd_split(args) -> dict:

@@ -246,26 +246,6 @@ def grid_inner(phi: FockGridState, psi: FockGridState, krein: bool = False):
     return complex(np.vdot(_bra(phi, basis, krein), _vector(psi, basis)))
 
 
-def eta_pairing(l: int, m: int, modes, phi: FockGridState, psi: FockGridState,
-                krein: bool = False):
-    """eta_{Phi,Psi}(p_1..p_l, q_1..q_m) via successive ladder applications.
-
-    `modes` lists l creation-mode indices followed by m annihilation-mode
-    indices; eta is the matrix element <Phi, a+(p_1)..a+(p_l)
-    a(q_1)..a(q_m) Psi>, the string acting on psi right-to-left.
-    """
-    if len(modes) != l + m:
-        raise ValueError("modes must supply l+m grid indices")
-    if l + m > 2 * phi.cutoff:
-        raise TruncationError("operator string too long for the cutoff")
-    st = psi
-    for q in reversed(modes[l:]):
-        st = apply_annihilation(q, st)
-    for p in reversed(modes[:l]):
-        st = apply_creation(p, st)
-    return grid_inner(phi, st, krein=krein)
-
-
 @dataclass
 class DiscreteKernel:
     """Kernel with l creation slots and m annihilation slots on the grid."""

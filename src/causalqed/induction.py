@@ -240,12 +240,9 @@ class LatticeToy:
         w, g = self.omega0, self.gamma
         return np.exp(-1j * k * w * t - k * g * abs(t)) / (2.0 * w) ** k
 
-    def commutator_t(self, t: float, k: int = 1) -> complex:
-        """D_k(t) = Dplus(t)^k - Dplus(-t)^k, the causal coefficient."""
-        return self.dplus_t(t, k) - self.dplus_t(-t, k)
-
     def commutator_hat(self, E: float, k: int = 1) -> complex:
-        """Transform of the causal coefficient: two Lorentzian pairs."""
+        """Transform of the causal coefficient D_k(t) = Dplus(t)^k -
+        Dplus(-t)^k: two Lorentzian pairs."""
         w, g = self.omega0, self.gamma
         kw, kg = k * w, k * g
 

@@ -224,12 +224,19 @@ class WickPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "WickPolynomial":
+        """Inverse of to_json; a leg of a field outside FIELDS or with a
+        character other than cre/ann raises ValueError."""
         obj = json.loads(text)
         monos = []
         for row in obj["terms"]:
             coeff = complex(row["coeff"][0], row["coeff"][1])
             factors = tuple(Factor(k, n, tuple(a)) for k, n, a in row["factors"])
             legs = tuple(FieldLeg(f, c, s, i) for f, c, s, i in row["legs"])
+            for leg in legs:
+                if leg.field not in FIELDS:
+                    raise ValueError(f"unknown field {leg.field!r}")
+                if leg.character not in (CREATION, ANNIHILATION):
+                    raise ValueError(f"unknown leg character {leg.character!r}")
             monos.append(WickMonomial(coeff, factors, legs))
         return cls(monos)
 

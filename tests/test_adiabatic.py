@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,7 @@ from causalqed.adiabatic import (_WEAK_K, _WEAK_MEASURE, _WEAK_Q, CHANNELS,
                                  DEFAULT_SCHEDULE, ScalingFamily,
                                  _massless_standoff, bump_profile,
                                  classify_sweep, epsilon_free_evaluation,
-                                 gaussian_profile, scaling_delta_check,
-                                 smeared_contribution, sweep, weak_limit_vacuum)
+                                 gaussian_profile, sweep, weak_limit_vacuum)
 from causalqed.qed2 import build_self_energy, build_vacuum_polarization, causal_imaginary_part
 from causalqed.splitting import dispersion
 
@@ -41,6 +41,19 @@ def test_g_hat_eps_scaling_identity():
     assert fam.g_hat_eps(p, eps) == pytest.approx(fam.g_hat(p / eps) / eps ** 4)
 
 
+_DELTA_X, _DELTA_W = np.polynomial.legendre.leggauss(20)
+_DELTA_RULE = tuple(zip(5.0 * _DELTA_X, 5.0 * _DELTA_W))  # k in [-5, 5]
+
+
+def scaling_delta_check(family: ScalingFamily, F, eps: float) -> complex:
+    """integral g_hat_eps(p) F(p) d^4p by substitution p = eps k."""
+    total = 0.0 + 0.0j
+    for (k0, w0), (k1, w1), (k2, w2), (k3, w3) in itertools.product(_DELTA_RULE, repeat=4):
+        k = np.array([k0, k1, k2, k3])
+        total += w0 * w1 * w2 * w3 * family.g_hat(k) * F(eps * k)
+    return total
+
+
 def test_profiles_are_delta_families():
     # integral g_hat_eps F -> (2 pi)^4 alpha0 F(0)
     target = (2.0 * math.pi) ** 4
@@ -69,6 +82,23 @@ def test_classify_sweep_synthetic():
 
     short = classify_sweep(eps[:2], eps[:2])
     assert short.verdict == "inconclusive"
+
+    # a constant that dominates |value| cancels in the increments, so the
+    # exponent stays that of the 1/eps term
+    eps = np.array(DEFAULT_SCHEDULE)
+    for a in (1.0, 1e-2, 1e-3, 1e-4):
+        offset = classify_sweep(eps, a / eps + 1.0)
+        assert offset.verdict == "diverged"
+        assert offset.fitted_exponent == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_roundoff_sized_kappa_leaves_a_converged_sweep_converged():
+    # the increment fit gives a diverged sweep its exponent; it does not
+    # turn a 1/eps term far below the finite part into a divergence
+    eps = np.array(DEFAULT_SCHEDULE)
+    result = classify_sweep(eps, 1e-16 / eps + 1.0)
+    assert result.verdict == "converged"
+    assert result.limit_estimate == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +135,13 @@ def test_vacuum_polarization_channels(family):
         assert result.verdict == "converged"
 
 
-def test_channel_type_guards(se):
+def test_channel_type_guards(se, family):
     with pytest.raises(TypeError):
-        smeared_contribution("Pi_into_A", se, xi, phi, 0.1)
+        sweep("Pi_into_A", se, xi, phi, family)
     with pytest.raises(ValueError):
-        smeared_contribution("unknown", se, xi, phi, 0.1)
+        sweep("unknown", se, xi, phi, family)
     with pytest.raises(ValueError):
-        smeared_contribution("Sigma_into_psi", se, xi, phi, 0.0)
+        ScalingFamily(g_hat=family.g_hat, epsilon_schedule=(0.1, 0.0))
 
 
 def test_channel_registry():
@@ -161,6 +191,18 @@ def test_massless_sweep_makes_at_most_one_density_call(monkeypatch):
     result = sweep("massless_charge", None, xi, phi, family, constants=(0.5, -0.3))
     assert result.verdict == "diverged"
     assert density.calls <= 1
+
+
+def test_massless_exponent_is_the_same_for_every_constant_choice():
+    # the constants shift the massless sweep by a finite part, which cancels
+    # in the increments: no constant choice changes the divergence
+    family = ScalingFamily(g_hat=gaussian_profile().g_hat, epsilon_schedule=DEFAULT_SCHEDULE)
+    results = [sweep("massless_charge", None, xi, phi, family, constants=c)
+               for c in ((0.0, 0.0), (0.5, -0.3), (-2.0, 1.0), (10.0, 3.0))]
+    assert {r.verdict for r in results} == {"diverged"}
+    exponents = [r.fitted_exponent for r in results]
+    assert max(exponents) - min(exponents) < 1e-12
+    assert exponents[0] == pytest.approx(-1.0, abs=0.01)
 
 
 def test_weak_limit_matches_the_pointwise_node_sum():

@@ -54,3 +54,15 @@ def test_cli_split_job_with_a_negative_constant_in_scientific_notation(tmp_path)
     assert [p["c"][0] for p in replay] == [-7.40791508777594e-05]
     result = worker.run_job("cli_split", replay[0], jobs.Checks(), str(tmp_path))
     assert result["failures"] == []
+
+
+@pytest.mark.parametrize("seed, pass_index", [(2, 178), (6, 159)])
+def test_off_shell_sweep_with_nearly_cancelling_offsets(seed, pass_index, tmp_path):
+    # an off-shell Sigma_into_psi sweep whose offsets nearly cancel in
+    # kappa = c0 + m c1: the finite part dominates |value|, and the fitted
+    # exponent must still be that of the 1/eps divergence
+    results = [worker.run_job(kind, params, jobs.Checks(), str(tmp_path))
+               for kind, params in jobs.make_pass("adiabatic_sweeps", seed, pass_index)
+               if kind == "sweep"]
+    assert results
+    assert [f for r in results for f in r["failures"]] == []

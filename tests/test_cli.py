@@ -42,7 +42,7 @@ def test_split_unknown_toy_and_empty_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"toy": "no-such-toy"}))
     assert main(["split", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert main(["split", "--out", str(tmp_path)]) == 2  # neither toy nor descriptor
+    assert main(["split", "--out", str(tmp_path)]) == 2  # no toy
 
 
 def test_split_non_convergent_toy_is_numeric_failure(tmp_path, monkeypatch):
@@ -57,6 +57,7 @@ def test_split_non_convergent_toy_is_numeric_failure(tmp_path, monkeypatch):
 
 
 def test_split_descriptor_with_wrong_support(tmp_path):
+    # a config that names no toy is a validation failure, whatever else it holds
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"descriptor": {"kind": "Dret", "mass": 1.0}}))
     assert main(["split", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -141,6 +142,16 @@ def test_sweep_on_shell_and_off_shell(tmp_path):
                "--eps-steps", "8") == 0
     verdict = json.loads((tmp_path / "sweep_verdict.json").read_text())
     assert verdict["verdict"] == "diverged"
+
+
+def test_sweep_exponent_with_nearly_cancelling_constants(tmp_path):
+    # kappa = c0 + m c1 = 2e-4: the finite part dominates |value| along the
+    # schedule, but the divergence is still 1/eps
+    assert run(tmp_path, "adiabatic-sweep", "--channel", "Sigma_into_psi",
+               "--normalization", "custom", "--c0", "0.5", "--c1", "-0.4998") == 0
+    verdict = json.loads((tmp_path / "sweep_verdict.json").read_text())
+    assert verdict["verdict"] == "diverged"
+    assert verdict["fitted_exponent"] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_sweep_schedule_validation(tmp_path):

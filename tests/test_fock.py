@@ -10,7 +10,7 @@ from causalqed.fock import (BOSE, FERMI, DiscreteKernel, FockGridState,
                             GridPoint, MomentumGrid, TruncationError,
                             _basis_configs, apply_annihilation, apply_creation,
                             apply_kernel, basis_state, commutator_check,
-                            eta_pairing, grid_inner, uniform_grid,
+                            grid_inner, uniform_grid,
                             vacuum_state, xi_matrix_element)
 
 
@@ -78,13 +78,18 @@ def test_grid_inner_and_krein():
     assert indefinite == pytest.approx(-plain)
 
 
-def test_eta_pairing_equals_explicit_ladder_route():
+def test_xi_matrix_element_of_one_mode_pair_equals_explicit_ladder_route():
+    # a kernel that picks out (p, q) = (1, 2) and cancels their weights
+    # gives eta(1, 2) = <Phi, a+(1) a(2) Psi>
     grid = uniform_grid(3, statistic=BOSE)
     cutoff = 3
-    phi = basis_state(grid, cutoff, modes=[0])
+    phi = basis_state(grid, cutoff, modes=[1, 1])
     psi = basis_state(grid, cutoff, modes=[1, 2])
     direct = grid_inner(phi, apply_creation(1, apply_annihilation(2, psi)))
-    via_eta = eta_pairing(1, 1, [1, 2], phi, psi)
+    assert abs(direct) > 0.1
+    values = np.zeros((3, 3))
+    values[1, 2] = 1.0 / (grid.weights[1] * grid.weights[2])
+    via_eta = xi_matrix_element(DiscreteKernel(1, 1, values), phi, psi)
     assert via_eta == pytest.approx(direct)
 
 

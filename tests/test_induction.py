@@ -88,7 +88,8 @@ def test_lattice_commutator_transform_against_numeric_ft():
     for k in (1, 2):
         for E in (-1.5, 0.3, 2.0):
             def integrand(t):
-                return toy.commutator_t(t, k) * np.exp(1j * E * t)
+                # D_k(t) = Dplus(t)^k - Dplus(-t)^k, the causal coefficient
+                return (toy.dplus_t(t, k) - toy.dplus_t(-t, k)) * np.exp(1j * E * t)
             re, _ = integrate.quad(lambda t: integrand(t).real, -60, 60,
                                    points=[0.0], limit=800,
                                    epsabs=1e-12, epsrel=1e-11)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalqed import cli
-from causalqed.distributions import CausalDistribution, propagator_distribution
+from causalqed.distributions import CausalDistribution
 from causalqed.induction import LatticeToy
 from causalqed.splitting import (SplitInputError, SplitSpec,
                                  ambiguity_dimension, dispersion,
@@ -35,10 +35,10 @@ def test_spec_validates_constant_count():
 
 def test_split_requires_causal_support_and_evaluator():
     with pytest.raises(SplitInputError):
-        split(propagator_distribution("Dret", 1.0), SplitSpec(omega=-2))
-    measure_only = CausalDistribution(shell=lambda p: [], support_tag="causal")
+        split(CausalDistribution(eval_fn=lambda E: 1.0 / (1.0 + E * E), support_tag="retarded"),
+              SplitSpec(omega=-2))
     with pytest.raises(SplitInputError):
-        split(measure_only, SplitSpec(omega=-2))
+        split(CausalDistribution(support_tag="causal"), SplitSpec(omega=-2))
 
 
 def test_negative_order_split_matches_oracle():

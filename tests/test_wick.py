@@ -1,4 +1,5 @@
 import functools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -104,6 +105,14 @@ def test_json_roundtrip():
     prod = operator_product(qed_vertex("x"), qed_vertex("y"))
     again = WickPolynomial.from_json(prod.to_json())
     assert again == prod
+
+
+def test_from_json_rejects_unknown_legs():
+    # a leg no contraction can reach must not enter a polynomial unseen
+    for leg in (["scalar", "foo", "x", ""], ["gluon", "cre", "x", ""]):
+        text = json.dumps({"terms": [{"coeff": [1.0, 0.0], "factors": [], "legs": [leg]}]})
+        with pytest.raises(ValueError):
+            WickPolynomial.from_json(text)
 
 
 def test_chopped_drops_residue():
