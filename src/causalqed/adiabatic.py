@@ -119,12 +119,16 @@ def classify_sweep(epsilons, values) -> SweepResult:
     shrinking Cauchy increments -> converged; all-zero tail -> converged
     with limit 0; otherwise inconclusive.
 
-    A diverged sweep reports as its exponent the slope of log|increment|
-    vs log eps over the tail increments |v_(k+1) - v_k|, each placed at
-    the geometric mean of its two eps, whenever one of them exceeds
-    1e-12 of the largest |value|.  A constant part cancels in the
-    increments, so kappa/eps + b gives -1 on a geometric schedule for
-    every kappa != 0, also where b dominates |value| and flattens sigma.
+    Whenever one of the tail increments |v_(k+1) - v_k| exceeds 1e-12 of
+    the largest |value|, the slope of log|increment| vs log eps (each
+    increment placed at the geometric mean of its two eps) is a diverged
+    sweep's exponent, and a slope <= -0.25 is a divergence also where
+    sigma is not.  A
+    constant part cancels in the increments, so kappa/eps + b gives -1 on
+    a geometric schedule for every kappa != 0, also where b dominates
+    |value| and flattens sigma.  Shrinking increments have no growth
+    slope of -0.25 or less, so this turns no converged sweep into a
+    diverged one.
     """
     epsilons = tuple(float(e) for e in epsilons)
     values = tuple(complex(v) for v in values)
@@ -140,10 +144,12 @@ def classify_sweep(epsilons, values) -> SweepResult:
     sigma = _slope(log_e[half:], np.log(np.maximum(mags, 1e-300)))
     increments = np.abs(np.diff(np.array(values)))[half - 1:]
     shrinking = bool(np.all(np.diff(increments) <= 1e-12 * scale))
-    if sigma <= -0.25:
-        if np.any(increments > 1e-12 * scale):
-            mid = 0.5 * (log_e[half - 1:-1] + log_e[half:])
-            sigma = _slope(mid, np.log(np.maximum(increments, 1e-300)))
+    if np.any(increments > 1e-12 * scale):
+        mid = 0.5 * (log_e[half - 1:-1] + log_e[half:])
+        growth = _slope(mid, np.log(np.maximum(increments, 1e-300)))
+        if min(sigma, growth) <= -0.25:
+            return SweepResult(epsilons, values, "diverged", growth)
+    elif sigma <= -0.25:
         return SweepResult(epsilons, values, "diverged", sigma)
     if sigma >= 0.25 and bool(np.all(np.diff(mags) <= 0)):
         # decay to zero along the schedule

@@ -130,9 +130,7 @@ def cmd_split(args) -> dict:
     dv, rv, av = (np.asarray(f(Es), dtype=complex)
                   for f in (d.eval_fn, result.retarded.eval_fn, result.advanced.eval_fn))
     rows = zip(Es, dv.real, dv.imag, rv.real, rv.imag, av.real, av.imag)
-    omega_est = scaling_degree_estimate(
-        lambda p: d.eval_fn(float(np.asarray(p).reshape(-1)[0])),
-        [1.0, 0.0, 0.0, 0.0])
+    omega_est = scaling_degree_estimate(d.eval_fn)
     return {
         "split.csv": _csv(["E", "d_re", "d_im", "ret_re", "ret_im", "adv_re", "adv_im"], rows),
         "split_report.json": _json({

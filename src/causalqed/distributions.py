@@ -45,25 +45,16 @@ def slash(p) -> np.ndarray:
 
 @dataclass
 class CausalDistribution:
-    """Momentum-space distribution with a pointwise evaluator.
+    """Distribution in a scalar dispersion variable E with a pointwise evaluator.
 
-    `eval_fn` maps a momentum to a complex value; it may be None for an
-    input that carries no evaluator, which `split` rejects.
+    `eval_fn` maps E, a float or an ndarray, to a complex value or an array
+    of its shape; it may be None for an input that carries no evaluator,
+    which `split` rejects.
     """
 
     eval_fn: object = None
-    mass_params: tuple = ()
     omega: int = 0
     support_tag: str = "none"  # causal | retarded | advanced | none
-
-    def __post_init__(self):
-        if any(m < 0 for m in self.mass_params):
-            raise ValueError("masses must be nonnegative")
-
-    def __call__(self, p):
-        if self.eval_fn is None:
-            raise TypeError("distribution has no pointwise evaluator")
-        return self.eval_fn(np.asarray(p, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -86,17 +77,17 @@ def singularity_bound(spec: ExternalLineSpec) -> int:
     return math.floor(4 - 1.5 * spec.fermion_lines - spec.photon_lines - spec.derivatives)
 
 
-# the ray samples lam * direction at which scaling_degree_estimate fits
+# the ray samples lam at which scaling_degree_estimate fits
 _SCALING_LAMBDAS = np.geomspace(4.0, 4096.0, 16)
 
 
-def scaling_degree_estimate(d, direction) -> float:
-    """Fitted growth exponent of |d(lam * direction)| vs lam on log-log axes.
+def scaling_degree_estimate(f) -> float:
+    """Fitted growth exponent of |f(lam)| vs lam > 0 on log-log axes.
 
-    Accepts a CausalDistribution or any callable of a 4-vector.
+    f takes the 16 sample points as one ndarray and returns an array of its
+    shape, as an eval_fn does.
     """
-    direction = np.asarray(direction, dtype=float)
-    vals = np.array([abs(complex(d(lam * direction))) for lam in _SCALING_LAMBDAS])
+    vals = np.abs(np.asarray(f(_SCALING_LAMBDAS), dtype=complex))
     if np.any(vals <= 0):
         raise ArithmeticError("distribution vanished along the ray; no exponent")
     slope, _ = np.polyfit(np.log(_SCALING_LAMBDAS), np.log(vals), 1)

@@ -18,7 +18,6 @@ one creation index table per mode.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,28 +71,6 @@ class MomentumGrid:
     def is_fermi(self, mode: int) -> bool:
         return self.statistics[self.points[mode].field] == FERMI
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "points": [
-                    {"momentum": list(p.momentum), "spin": p.spin, "field": p.field}
-                    for p in self.points
-                ],
-                "weights": list(self.weights),
-                "statistics": dict(self.statistics),
-                "krein": list(self.krein),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentumGrid":
-        obj = json.loads(text)
-        points = [
-            GridPoint(tuple(d["momentum"]), d["spin"], d["field"]) for d in obj["points"]
-        ]
-        return cls(points, np.array(obj["weights"]), obj["statistics"], np.array(obj["krein"]))
-
 
 def uniform_grid(n_modes, statistic=BOSE, pmax=1.0, field="scalar", krein=None):
     """Evenly spaced radial momenta on (0, pmax] with trapezoid-like weights."""
@@ -119,18 +96,6 @@ class FockGridState:
         for c, a in other.amplitudes.items():
             amps[c] = amps.get(c, 0.0) + a
         return FockGridState(self.grid, self.cutoff, {c: a for c, a in amps.items() if a != 0})
-
-    def to_json(self) -> str:
-        rows = sorted(
-            (list(c), a.real, a.imag) for c, a in self.amplitudes.items()
-        )
-        return json.dumps({"cutoff": self.cutoff, "amplitudes": rows}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, grid: MomentumGrid, text: str) -> "FockGridState":
-        obj = json.loads(text)
-        amps = {tuple(c): complex(re, im) for c, re, im in obj["amplitudes"]}
-        return cls(grid, obj["cutoff"], amps)
 
 
 def vacuum_state(grid: MomentumGrid, cutoff: int) -> FockGridState:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grassmann import BOSE, GradedVar, reorder_sign
+from .splitting import _converge, _sampled
 from .wick import ONE, Factor, WickMonomial, WickPolynomial, operator_product
 
 
@@ -266,6 +267,27 @@ class LatticeToy:
 _SMEAR_MIN, _SMEAR_MAX = 64, 2 ** 16
 
 
+def _smear_levels(fhat, t0: float, sigma: float):
+    """The trapezoid sum of `window_smear` with n = 64, 128, ... intervals,
+    against its every-other-node sum; each level reuses the old nodes and
+    passes only the new ones to fhat."""
+    pref = sigma * math.sqrt(2.0 * math.pi)
+    L = 10.0 / sigma
+
+    def node_sum(Es):
+        vals = np.asarray(_sampled("window_smear", fhat, Es), dtype=complex)
+        return np.sum(pref * vals * np.exp(-0.5 * (sigma * Es) ** 2 - 1j * Es * t0))
+
+    n, total = 1, 0.5 * node_sum(np.array([-L, L]))  # trapezoid sum / h, one interval
+    while n < _SMEAR_MAX:
+        n, h = 2 * n, L / n  # h = 2L / (new n)
+        coarse, total = 2.0 * h * total, total + node_sum(-L + h * np.arange(1, n, 2))
+        if n >= _SMEAR_MIN:
+            fine = h * total
+            yield n, complex(fine) / (2.0 * math.pi), abs(fine - coarse), max(
+                1e-13, 1e-12 * abs(fine))
+
+
 def window_smear(fhat, t0: float, sigma: float = 0.1) -> complex:
     """Pairing of f with the Gaussian window centered at t0.
 
@@ -277,23 +299,7 @@ def window_smear(fhat, t0: float, sigma: float = 0.1) -> complex:
     takes the new nodes of each level as one ndarray and returns an array
     of its shape.
     """
-    pref = sigma * math.sqrt(2.0 * math.pi)
-    L = 10.0 / sigma
-
-    def node_sum(Es):
-        vals = np.asarray(fhat(Es), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            E = Es[~np.isfinite(vals)][0]
-            raise ArithmeticError(f"non-finite window_smear sample fhat({E!r})")
-        return np.sum(pref * vals * np.exp(-0.5 * (sigma * Es) ** 2 - 1j * Es * t0))
-
-    n, total = 1, 0.5 * node_sum(np.array([-L, L]))  # trapezoid sum / h, one interval
-    while n < _SMEAR_MAX:
-        n, h = 2 * n, L / n  # h = 2L / (new n); the old nodes are reused
-        coarse, total = 2.0 * h * total, total + node_sum(-L + h * np.arange(1, n, 2))
-        if n >= _SMEAR_MIN and abs(h * total - coarse) <= max(1e-13, 1e-12 * abs(h * total)):
-            return complex(h * total) / (2.0 * math.pi)
-    raise ArithmeticError(f"window_smear not converged with {n} trapezoid intervals")
+    return _converge("window_smear", _smear_levels(fhat, t0, sigma))[0]
 
 
 # window centers |t| and width at which lattice_support_check smears

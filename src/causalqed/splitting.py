@@ -75,23 +75,49 @@ def _points(E):
     return np.asarray(E, dtype=float) if isinstance(E, np.ndarray) and E.ndim else float(E)
 
 
-def _rational_table(f, center: float) -> np.ndarray:
+def _sampled(rule: str, f, x: np.ndarray) -> np.ndarray:
+    """f(x) as an array; ArithmeticError naming the rule and the first point
+    of x whose sample is not finite."""
+    y = np.asarray(f(x))
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise ArithmeticError(f"non-finite {rule} sample at {float(x[bad][0])!r}")
+    return y
+
+
+def _converge(rule: str, levels):
+    """(value, N, estimate) of the first refinement whose error estimate is
+    within its bound; `levels` yields (N, value, estimate, bound) for each.
+    A level draws 2N samples in the rational-basis table, N in the
+    Gauss-Legendre table and N + 1 in window_smear.  After the last level
+    it raises ArithmeticError with the rule, N and the estimate."""
+    for N, value, estimate, bound in levels:
+        if estimate <= bound:
+            return value, N, estimate
+    raise ArithmeticError(
+        f"{rule} not converged at N = {N}: estimate {estimate:.3g} > bound {bound:.3g}")
+
+
+def _tail_level(N: int, value, mags: np.ndarray, tol: float):
+    """A table level whose |coefficients|, ordered by |k|, estimate its error
+    by their outer quarter, against tol times the largest."""
+    return N, value, mags[-(N // 4):].max(), tol * mags.max()
+
+
+def _rational_levels(f, center: float):
     """a_k, k = -N..N-1, with f(center + w) = sum_k a_k exp(ik theta) / (1 - iw)
-    and w = tan(theta / 2).  The k >= 0 terms are analytic above the real
-    line, the k < 0 terms below.  The 2N samples sit at midpoints in theta,
-    so none is at w = 0; f takes them as one ndarray and returns an array of
-    its shape.  N doubles until the outer quarter of |a_k| is below 1e-14 of
-    the largest."""
+    and w = tan(theta / 2), for N doubling up the table sizes.  The k >= 0
+    terms are analytic above the real line, the k < 0 terms below.  The 2N
+    samples sit at midpoints in theta, so none is at w = 0; f takes them as
+    one ndarray and returns an array of its shape.  a_k and a_{-k-1} fold
+    into one magnitude, so the tail is the outer quarter of |a_k|."""
     for N in _TABLE_SIZES:
         theta = np.pi * (np.arange(2 * N) + 0.5) / N - np.pi
         w = np.tan(theta / 2.0)
-        g = np.asarray(f(center + w), dtype=complex) * (1.0 - 1j * w)
-        if not np.all(np.isfinite(g)):
-            raise ArithmeticError("non-finite density sample in the rational-basis table")
+        g = _sampled("rational-basis table",
+                     lambda E: np.asarray(f(E), dtype=complex) * (1.0 - 1j * w), center + w)
         a = np.fft.fftshift(np.fft.fft(g)) * np.exp(-1j * np.arange(-N, N) * theta[0]) / (2 * N)
-        if np.abs(np.r_[a[:N // 4], a[-(N // 4):]]).max() <= _TABLE_TAIL * np.abs(a).max():
-            return a
-    raise ArithmeticError(f"rational-basis table not converged at N = {N}")
+        yield _tail_level(N, a, np.maximum(np.abs(a[N:]), np.abs(a[N - 1::-1])), _TABLE_TAIL)
 
 
 def _rational_half(a: np.ndarray, w):
@@ -134,6 +160,22 @@ def _cauchy(table, sigma: complex) -> complex:
     return -2.0 * total
 
 
+def _legendre_levels(density, thr: float):
+    """Nodes t and weights w on [0, 1], g(t) = 2 s' density(s') with
+    s' = thr / (1 - t^2), and c_k with g = sum_k c_k P_k(2t - 1), for N
+    doubling up the Gauss-Legendre sizes.  The tail is the outer quarter of
+    the orthonormal c_k."""
+    for N in _GL_SIZES:
+        x, w = _gauss_legendre(N)
+        t = (x + 1.0) / 2.0
+        g = _sampled("Gauss-Legendre table",
+                     lambda sp: 2.0 * sp * np.array([density(v) for v in sp.tolist()]),
+                     thr / (1.0 - t * t))
+        c = (np.arange(N) + 0.5) * ((w * g) @ np.polynomial.legendre.legvander(x, N - 1))
+        yield _tail_level(N, (t, w / 2.0, g, c.tolist()), np.abs(c) / np.sqrt(np.arange(N) + 0.5),
+                          _GL_TAIL)
+
+
 def dispersion(density, thr: float):
     """The Cauchy transform z -> (1/pi) integral_thr^inf density(s') / (s' - z) ds'.
 
@@ -151,22 +193,8 @@ def dispersion(density, thr: float):
     if not 0.0 < thr < math.inf:
         raise ValueError("dispersion needs a finite threshold thr > 0")
 
-    @functools.cache
-    def table():
-        # nodes t and weights w on [0, 1], g(t), and c_k with g = sum_k c_k P_k(2t - 1);
-        # N doubles until the outer quarter of the orthonormal c_k is below 1e-13 of the largest
-        for N in _GL_SIZES:
-            x, w = _gauss_legendre(N)
-            t = (x + 1.0) / 2.0
-            sp = thr / (1.0 - t * t)
-            g = 2.0 * sp * np.array([density(v) for v in sp.tolist()])
-            if not np.all(np.isfinite(g)):
-                raise ArithmeticError("non-finite density sample in the Gauss-Legendre table")
-            c = (np.arange(N) + 0.5) * ((w * g) @ np.polynomial.legendre.legvander(x, N - 1))
-            ortho = np.abs(c) / np.sqrt(np.arange(N) + 0.5)
-            if ortho[-(N // 4):].max() <= _GL_TAIL * ortho.max():
-                return t, w / 2.0, g, c.tolist()
-        raise ArithmeticError(f"Gauss-Legendre table not converged at N = {N}")
+    table = functools.cache(
+        lambda: _converge("Gauss-Legendre table", _legendre_levels(density, thr))[0])
 
     def transform(z):
         if isinstance(z, np.ndarray) and z.ndim:
@@ -225,8 +253,8 @@ def split(d: CausalDistribution, spec: SplitSpec) -> SplitResult:
     @functools.cache
     def table():
         # built at the first evaluation, where a table that does not converge should fail
-        return _rational_table(
-            lambda Ep: np.asarray(d.eval_fn(Ep), dtype=complex) / (Ep - E0) ** n, E0)
+        return _converge("rational-basis table", _rational_levels(
+            lambda Ep: np.asarray(d.eval_fn(Ep), dtype=complex) / (Ep - E0) ** n, E0))[0]
 
     def ret_eval(E):
         # the k >= 0 half of the subtracted density is its retarded part
@@ -240,10 +268,8 @@ def split(d: CausalDistribution, spec: SplitSpec) -> SplitResult:
         E = _points(E)
         return ret_eval(E) - d.eval_fn(E)
 
-    ret = CausalDistribution(eval_fn=ret_eval, mass_params=d.mass_params,
-                             omega=omega, support_tag="retarded")
-    adv = CausalDistribution(eval_fn=adv_eval, mass_params=d.mass_params,
-                             omega=omega, support_tag="advanced")
+    ret = CausalDistribution(eval_fn=ret_eval, omega=omega, support_tag="retarded")
+    adv = CausalDistribution(eval_fn=adv_eval, omega=omega, support_tag="advanced")
     return SplitResult(retarded=ret, advanced=adv)
 
 
@@ -265,8 +291,7 @@ def toy_causal(power: int = 0) -> CausalDistribution:
         # a real quotient times 2j: numpy and Python round it alike
         return 2j * (E ** power * E / (1.0 + E * E))
 
-    return CausalDistribution(eval_fn=eval_fn, mass_params=(),
-                              omega=power - 1, support_tag="causal")
+    return CausalDistribution(eval_fn=eval_fn, omega=power - 1, support_tag="causal")
 
 
 def toy_retarded_exact(power: int = 0):
@@ -300,11 +325,4 @@ def reconstruction_residual(d: CausalDistribution, result: SplitResult, Es) -> f
 
 def order_preservation_check(d: CausalDistribution, result: SplitResult):
     """Scaling exponents (input, retarded) along the scalar ray E > 0."""
-
-    def scalar_ray(f):
-        return lambda p: f(float(np.asarray(p).reshape(-1)[0]))
-
-    direction = [1.0, 0.0, 0.0, 0.0]
-    e_in = scaling_degree_estimate(scalar_ray(d.eval_fn), direction)
-    e_ret = scaling_degree_estimate(scalar_ray(result.retarded.eval_fn), direction)
-    return e_in, e_ret
+    return scaling_degree_estimate(d.eval_fn), scaling_degree_estimate(result.retarded.eval_fn)

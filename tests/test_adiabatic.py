@@ -90,6 +90,11 @@ def test_classify_sweep_synthetic():
         offset = classify_sweep(eps, a / eps + 1.0)
         assert offset.verdict == "diverged"
         assert offset.fitted_exponent == pytest.approx(-1.0, abs=1e-9)
+    # down to 1e-12 the increments still read 1/eps where |value| is flat
+    for a in (1e-5, 1e-8, 1e-12):
+        offset = classify_sweep(eps, a / eps + 1.0)
+        assert offset.verdict == "diverged"
+        assert offset.fitted_exponent == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_roundoff_sized_kappa_leaves_a_converged_sweep_converged():

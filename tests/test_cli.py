@@ -45,7 +45,7 @@ def test_split_unknown_toy_and_empty_config(tmp_path):
     assert main(["split", "--out", str(tmp_path)]) == 2  # no toy
 
 
-def test_split_non_convergent_toy_is_numeric_failure(tmp_path, monkeypatch):
+def test_split_non_convergent_toy_is_numeric_failure(tmp_path, monkeypatch, capsys):
     from causalqed import cli
     from causalqed.distributions import CausalDistribution
 
@@ -54,6 +54,7 @@ def test_split_non_convergent_toy_is_numeric_failure(tmp_path, monkeypatch):
                               omega=-1, support_tag="causal")
     monkeypatch.setitem(cli._TOYS, "kink", lambda: (kink, -1))
     assert run(tmp_path, "split", "--toy", "kink") == 3
+    assert "rational-basis table not converged at N = 4096: estimate" in capsys.readouterr().err
 
 
 def test_split_descriptor_with_wrong_support(tmp_path):
@@ -145,13 +146,15 @@ def test_sweep_on_shell_and_off_shell(tmp_path):
 
 
 def test_sweep_exponent_with_nearly_cancelling_constants(tmp_path):
-    # kappa = c0 + m c1 = 2e-4: the finite part dominates |value| along the
-    # schedule, but the divergence is still 1/eps
-    assert run(tmp_path, "adiabatic-sweep", "--channel", "Sigma_into_psi",
-               "--normalization", "custom", "--c0", "0.5", "--c1", "-0.4998") == 0
-    verdict = json.loads((tmp_path / "sweep_verdict.json").read_text())
-    assert verdict["verdict"] == "diverged"
-    assert verdict["fitted_exponent"] == pytest.approx(-1.0, abs=1e-9)
+    # kappa = c0 + m c1 = 2e-4 or 2e-6: the finite part dominates |value|
+    # along the schedule (at 2e-6 log|value| has slope -0.009), but the
+    # divergence is still 1/eps
+    for c1, tol in (("-0.4998", 1e-9), ("-0.499998", 1e-6)):
+        assert run(tmp_path, "adiabatic-sweep", "--channel", "Sigma_into_psi",
+                   "--normalization", "custom", "--c0", "0.5", "--c1", c1) == 0
+        verdict = json.loads((tmp_path / "sweep_verdict.json").read_text())
+        assert verdict["verdict"] == "diverged"
+        assert verdict["fitted_exponent"] == pytest.approx(-1.0, abs=tol)
 
 
 def test_sweep_schedule_validation(tmp_path):

@@ -7,10 +7,11 @@ from scipy import integrate
 from causalqed import induction
 from causalqed.grassmann import reorder_sign
 from causalqed.induction import (LatticeToy, OrderData, SeriesError,
-                                 _proper_partitions, build_Aprime_Rprime,
+                                 _proper_partitions, _smear_levels, build_Aprime_Rprime,
                                  extend_series, invert_series,
                                  lattice_support_check, partition_count,
                                  slot_names, symbolic_split, window_smear)
+from causalqed.splitting import _converge
 from causalqed.wick import (ONE, WickPolynomial, free_field, operator_product,
                             qed_vertex, scalar_vertex, wick_product)
 
@@ -83,6 +84,41 @@ def test_symbolic_split_reproduces_D():
     assert (ret - adv) == step.D
 
 
+def _sectors(D):
+    """D's terms grouped by the sorted fields of their legs, one polynomial each."""
+    groups = {}
+    for m in D.terms:
+        groups.setdefault(tuple(sorted(leg.field for leg in m.legs)), []).append(m)
+    return {fields: WickPolynomial(terms) for fields, terms in groups.items()}
+
+
+@pytest.mark.parametrize("vertex, counts, pairs", [
+    (qed_vertex,
+     {(): 2, ("photon", "photon"): 8, ("psi", "psibar"): 16,
+      ("photon", "photon", "psi", "psibar"): 64, ("psi", "psi", "psibar", "psibar"): 32},
+     {(): [("D0+", "S+", "Sbar+")], ("photon", "photon"): [("S+", "Sbar+")],
+      ("psi", "psibar"): [("D0+", "S+"), ("D0+", "Sbar+")]}),
+    (scalar_vertex,
+     {(): 2, ("scalar",) * 2: 8, ("scalar",) * 4: 18},
+     {(): [("D+",) * 3], ("scalar",) * 2: [("D+",) * 2]}),
+], ids=["qed", "cubic"])
+def test_order_2_causal_kernel_sectors(vertex, counts, pairs):
+    # D_2 = R'_2 - A'_2 sorts into vacuum, two-leg loop and four-leg tree
+    # sectors; each is a difference P(x1, x2) - P(x2, x1), so it is odd
+    # under x1 <-> x2
+    D = build_Aprime_Rprime(2, OrderData(S={1: vertex("x1").scaled(1j)})).D
+    sectors = _sectors(D)
+    assert {fields: len(P) for fields, P in sectors.items()} == counts
+    for fields, P in sectors.items():
+        names = {tuple(sorted(f.name for f in m.factors if f.kind == "pair")) for m in P.terms}
+        # the two vertices have six legs; each contraction pairs two of them
+        assert all(len(n) == (6 - len(fields)) // 2 for n in names)
+        if fields in pairs:
+            assert sorted(names) == pairs[fields]
+        assert (P.relabel({"x1": "x2", "x2": "x1"}) + P).is_zero()
+    assert (D.relabel({"x1": "x2", "x2": "x1"}) + D).is_zero()
+
+
 def test_lattice_commutator_transform_against_numeric_ft():
     toy = LatticeToy()
     for k in (1, 2):
@@ -124,8 +160,23 @@ def test_window_smear_of_retarded_oracle_matches_closed_form_pairing():
         assert abs(got - exact) <= 1e-12
 
 
+def test_window_smear_reports_intervals_and_estimate():
+    # N trapezoid intervals draw N + 1 samples, the old nodes reused
+    points = []
+
+    def fhat(E):
+        points.extend(E.tolist())
+        return np.exp(-0.5 * E * E)
+
+    value, N, estimate = _converge("window_smear", _smear_levels(fhat, 0.8, 0.4))
+    assert len(points) == len(set(points)) == N + 1
+    assert value == window_smear(lambda E: np.exp(-0.5 * E * E), 0.8, 0.4)
+    assert estimate <= max(1e-13, 1e-12 * abs(value) * 2.0 * math.pi)
+
+
 def test_window_smear_fails_loudly_on_an_unresolved_pole():
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=r"^window_smear not converged at N = 65536: "
+                                              r"estimate \S+ > bound \S+$"):
         window_smear(lambda E: 1.0 / (E - 3.0 + 1e-6j), 1.0, 0.1)
 
 
@@ -136,7 +187,7 @@ def test_window_smear_fails_fast_on_a_non_finite_sample():
         points.extend(E.tolist())
         return np.where((10.0 < E) & (E < 20.0), math.nan, np.exp(-0.5 * E * E))
 
-    with pytest.raises(ArithmeticError, match="non-finite"):
+    with pytest.raises(ArithmeticError, match=r"^non-finite window_smear sample at 1\d\.\d+$"):
         window_smear(fhat, 1.0, 0.1)
     # the first level with a node in (10, 20) has 16 intervals: 17 samples in all
     assert len(points) == 17

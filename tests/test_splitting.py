@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from causalqed import cli
 from causalqed.distributions import CausalDistribution
 from causalqed.induction import LatticeToy
-from causalqed.splitting import (SplitInputError, SplitSpec,
+from causalqed.splitting import (_GL_SIZES, SplitInputError, SplitSpec,
+                                 _converge, _legendre_levels, _rational_levels,
                                  ambiguity_dimension, dispersion,
                                  order_preservation_check,
                                  polynomial_fit_residual,
@@ -17,6 +18,10 @@ from causalqed.splitting import (SplitInputError, SplitSpec,
                                  toy_retarded_exact)
 
 ES = np.linspace(-5.0, 5.0, 21)
+
+
+def _not_converged(rule, N):
+    return rf"^{rule} not converged at N = {N}: estimate \S+ > bound \S+$"
 
 
 def test_ambiguity_dimension():
@@ -73,7 +78,7 @@ def test_split_fails_loudly_when_the_subtraction_point_is_not_a_zero():
     # density has a pole on the line and its table cannot converge
     result = split(toy_causal(3), SplitSpec(omega=2, normalization=(0.0, 0.0, 0.0),
                                             subtraction_point=0.7))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=_not_converged("rational-basis table", 4096)):
         result.retarded.eval_fn(1.0)
 
 
@@ -149,7 +154,7 @@ def test_dispersion_keeps_its_digits_next_to_the_threshold():
 
 def test_dispersion_fails_loudly():
     # a pole inside the support: no Gauss-Legendre table of it converges
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=_not_converged("Gauss-Legendre table", 512)):
         dispersion(lambda sp: 1.0 / (sp - 2.0), 1.0)(1.5)
     for thr in (0.0, -1.0, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -239,3 +244,27 @@ def test_split_array_equals_the_scalar_path(name, points, constants):
         want = [part.eval_fn(x) for x in points]
         assert all(isinstance(w, complex) for w in want)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_tables_report_size_and_tail_estimate():
+    a, N, estimate = _converge("rational-basis table",
+                               _rational_levels(lambda E: LatticeToy().commutator_hat(E, 2), 0.0))
+    assert (N, len(a)) == (256, 512)
+    assert 0.0 < estimate <= 1e-14 * np.abs(a).max()
+
+    # a Gauss-Legendre level draws N samples
+    calls = []
+    density = lambda sp: calls.append(sp) or 1.0 / (sp - 0.5)
+    (t, w, g, c), N, estimate = _converge("Gauss-Legendre table", _legendre_levels(density, 1.0))
+    assert len(t) == len(c) == N and len(calls) == sum(n for n in _GL_SIZES if n <= N)
+    assert 0.0 < estimate <= 1e-13 * np.max(np.abs(c) / np.sqrt(np.arange(N) + 0.5))
+
+
+def test_tables_name_the_first_non_finite_sample():
+    nan_above_3 = CausalDistribution(
+        eval_fn=lambda E: np.where(E > 3.0, math.nan, 1j / (1.0 + E * E)),
+        omega=-1, support_tag="causal")
+    with pytest.raises(ArithmeticError, match=r"^non-finite rational-basis table sample at 3\."):
+        split(nan_above_3, SplitSpec(omega=-1)).retarded.eval_fn(0.5)
+    with pytest.raises(ArithmeticError, match=r"^non-finite Gauss-Legendre table sample at 1\."):
+        dispersion(lambda sp: math.nan if sp < 2.0 else 1.0 / sp, 1.0)(0.5)
