@@ -18,10 +18,10 @@ from causalqed.qed2 import (build_self_energy, build_vacuum_polarization,
 m = 1.0
 
 print("vacuum polarization discontinuity vs the closed form")
-for s in (5.0, 10.0, 50.0):
+samples = np.array([5.0, 10.0, 50.0])
+for s, rho in zip(samples.tolist(), causal_imaginary_part("Pi", m, samples)):
     beta = math.sqrt(1.0 - 4.0 * m * m / s)
     exact = (2.0 * math.pi / 3.0) * beta * (1.0 + 2.0 * m * m / s)
-    rho = causal_imaginary_part("Pi", m, s)
     print(f"  s = {s:5.1f}:  rho = {rho:.12f}   closed form {exact:.12f}")
 
 vp = build_vacuum_polarization(m)

@@ -13,11 +13,13 @@ normalization leaves a 1/eps divergence.
 Each quadrature is a fixed Gauss-Legendre rule built at import.  A sweep
 evaluates its eps-free factors once (the shell overlaps, the on-shell
 coefficient and regular part, or the vacuum graph's profile product)
-and maps the schedule through the closed form in eps.  The weak limit
-evaluates its kernel's transform on the nodes directly, in one array
-call, with no interpolating spline.  The massless standoff is a closed
-form in eps, exact because the massless density is one constant:
-massless two-body phase space has no scale.
+and maps the schedule through the closed form in eps.  A profile's
+g_hat takes an array of 4-vectors, shape (..., 4), so the profile
+product g_hat(k) g_hat(-k) on the weak limit's node grid is two calls.
+The weak limit evaluates its kernel's transform on the nodes directly,
+in one array call, with no interpolating spline.  The massless standoff
+is a closed form in eps, exact because the massless density is one
+constant: massless two-body phase space has no scale.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ class ScalingFamily:
 
     g_hat is the Fourier transform of the profile g with g(0) = alpha0;
     g_eps(x) = g(eps x) corresponds to g_hat_eps(p) = eps^-4 g_hat(p/eps).
+    g_hat takes an array of 4-vectors, shape (..., 4), and returns an
+    array of shape (...): the weak limit evaluates it once on its whole
+    node grid for k and once for -k.
     """
 
     g_hat: object
@@ -64,14 +69,23 @@ class ScalingFamily:
         return self.g_hat(p / eps) / eps ** 4
 
 
+def _euclidean_square(p):
+    """|p|_E^2 over the last axis of p, shape (..., 4)."""
+    p = np.asarray(p, dtype=float)
+    return (p * p).sum(axis=-1)
+
+
 def gaussian_profile(alpha0: float = 1.0, width: float = 1.0) -> ScalingFamily:
-    """Profile with g_hat(p) = alpha0 (2 pi)^4 N exp(-w^2 |p|_E^2)."""
+    """Profile with g_hat(p) = alpha0 (2 pi)^4 N exp(-w^2 |p|_E^2).
+
+    g_hat takes p of shape (..., 4) and returns an array of shape (...);
+    one 4-vector gives a float.
+    """
     a = width * width
     norm = alpha0 * (2.0 * math.pi) ** 4 * (a / math.pi) ** 2
 
     def g_hat(p):
-        p = np.asarray(p, dtype=float)
-        return norm * math.exp(-a * float(np.dot(p, p)))
+        return norm * np.exp(-a * _euclidean_square(p))
 
     return ScalingFamily(g_hat=g_hat, alpha0=alpha0)
 
@@ -80,16 +94,17 @@ def bump_profile(alpha0: float = 1.0, width: float = 1.0, shape: float = 0.5) ->
     """Profile with a polynomial-times-Gaussian transform, same alpha0.
 
     g_hat(p) = alpha0 (2 pi)^4 N (1 + shape |p|_E^2) exp(-w^2 |p|_E^2)
-    with N fixed so the transform integrates to (2 pi)^4 alpha0.
+    with N fixed so the transform integrates to (2 pi)^4 alpha0.  g_hat
+    takes p of shape (..., 4) and returns an array of shape (...); one
+    4-vector gives a float.
     """
     a = width * width
     # integral of (1 + shape r2) exp(-a r2) over R^4 = (pi/a)^2 (1 + 2 shape / a)
     norm = alpha0 * (2.0 * math.pi) ** 4 / ((math.pi / a) ** 2 * (1.0 + 2.0 * shape / a))
 
     def g_hat(p):
-        p = np.asarray(p, dtype=float)
-        r2 = float(np.dot(p, p))
-        return norm * (1.0 + shape * r2) * math.exp(-a * r2)
+        r2 = _euclidean_square(p)
+        return norm * (1.0 + shape * r2) * np.exp(-a * r2)
 
     return ScalingFamily(g_hat=g_hat, alpha0=alpha0)
 
@@ -249,7 +264,8 @@ _WEAK_KMAX = 6.0
 _WEAK_X, _WEAK_W = np.polynomial.legendre.leggauss(24)
 _WEAK_A, _WEAK_B = np.meshgrid(_WEAK_KMAX * _WEAK_X, 0.5 * _WEAK_KMAX * (_WEAK_X + 1.0),
                                indexing="ij")
-_WEAK_K = np.array([[a, 0.0, 0.0, b] for a, b in zip(_WEAK_A.flat, _WEAK_B.flat)])
+_WEAK_K = np.zeros(_WEAK_A.shape + (4,))
+_WEAK_K[..., 0], _WEAK_K[..., 3] = _WEAK_A, _WEAK_B
 _WEAK_MEASURE = (np.outer(_WEAK_KMAX * _WEAK_W, 0.5 * _WEAK_KMAX * _WEAK_W)
                  * (4.0 * math.pi * _WEAK_B * _WEAK_B))
 _WEAK_Q = _WEAK_A * _WEAK_A - _WEAK_B * _WEAK_B
@@ -281,8 +297,7 @@ def weak_limit_vacuum(n: int, family: ScalingFamily, constants=(0.0, 0.0, 0.0),
     # amplifies, stays outside the transform
     u_factor = dispersion(lambda sp: causal_imaginary_part("Pi", m, sp) / sp ** 3, thr)
 
-    gg = np.array([family.g_hat(k) * family.g_hat(-k) for k in _WEAK_K])
-    w = _WEAK_MEASURE * gg.reshape(_WEAK_Q.shape)
+    w = _WEAK_MEASURE * family.g_hat(_WEAK_K) * family.g_hat(-_WEAK_K)
     # the kernel is even in a, so the +-a rows share their evaluations
     w = (w + w[::-1])[_WEAK_HALF:]
     eps = np.array(family.epsilon_schedule)

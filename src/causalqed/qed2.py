@@ -6,12 +6,16 @@ The causal discontinuity (imaginary part across the cut) is computed by
 numerical two-body phase-space integration of the pairing-function
 product.  Its Dirac traces, taken with the explicit 4x4 gamma matrices,
 are contracted once at import into a bilinear (Pi) or linear (Sigma) form
-in the leg components (q^0..q^3, +-m) that each call evaluates on the
-angular nodes.  The functions themselves are subtracted dispersion
-integrals over that discontinuity: (s - s0)^n times the transform
+in the leg components (q^0..q^3, +-m).  `causal_imaginary_part` takes a
+number or an ndarray of s and evaluates that form for all of its points at
+once, on one (n, 6, 5) array of leg components at the six angular nodes.
+The functions themselves are subtracted dispersion integrals over that
+discontinuity: (s - s0)^n times the transform
 `splitting.dispersion(rho(s') / (s' - s0)^n, thr)`, which each Green function
 keeps, and a shell derivative is the transform of rho(s') / (s' - m^2) at
-s = m^2.  Coupling constants are set to 1 throughout.
+s = m^2.  The transform's table samples rho on all of its nodes in one
+call per table size (Scharf, Finite QED, 2nd ed. 1995, ch. 3).  Coupling
+constants are set to 1 throughout.
 
 Decompositions: Pi_tensor^{mu nu}(p) = (p^mu p^nu - p^2 g^{mu nu}) Pi(p^2),
 Sigma(p) = a(p^2) + pslash b(p^2).
@@ -59,50 +63,68 @@ def _kallen(s, m1, m2):
     return (s - (m1 + m2) ** 2) * (s - (m1 - m2) ** 2)
 
 
-def _angular_phase_space(s, values, k):
-    """(k / 4 sqrt(s)) * integral dOmega, from per-node integrand values."""
-    total = 2.0 * math.pi * float(np.dot(_COS_WEIGHTS, values))  # azimuthal symmetry
-    return (k / (4.0 * math.sqrt(s))) * total
+def _legs(k, energy, mass):
+    """(n, 6, 5) leg components (q^0..q^3, mass term) of the first leg on the
+    six angular nodes: energy, spatial momentum k along each node direction."""
+    q = k[:, None, None] * _NODE_DIRECTIONS
+    q[..., 0] = energy[:, None]
+    q[..., 4] = mass
+    return q
 
 
-def causal_imaginary_part(which: str, m: float, s: float,
-                          photon_mass: float = 0.0, component: str = "a") -> float:
+def _angular_phase_space(s, node_sum, k):
+    """(k / 4 sqrt(s)) * integral dOmega, from the integrand's node sum
+    weighted by _COS_WEIGHTS."""
+    return (k / (4.0 * np.sqrt(s))) * (2.0 * math.pi * node_sum)  # azimuthal symmetry
+
+
+def causal_imaginary_part(which: str, m: float, s,
+                          photon_mass: float = 0.0, component: str = "a"):
     """Discontinuity of the designated Green function at p^2 = s.
 
     which = "Pi": transversal scalar discontinuity of the fermion loop,
     zero below s = 4 m^2.  which = "Sigma": the a- or b-component
     (selected by `component`) of the electron/photon loop, zero below
     s = (m + photon_mass)^2.
+
+    s is a number, giving a float, or an ndarray, giving a float array of
+    its shape: every point above threshold is one row of one (n, 6, 5)
+    array of leg components on the angular nodes, contracted with the form
+    and the node weights row by row, so a point gives the same value alone
+    or in an array.  A NaN s gives NaN.
     """
     if m < 0:
         raise ValueError("mass must be nonnegative")
     if which == "Pi":
-        if s <= 4.0 * m * m:
-            return 0.0
-        k = math.sqrt(s / 4.0 - m * m)
-        E = math.sqrt(s) / 2.0
-        # -proj_mn Tr[gamma^m (q1slash + m) gamma^n (q2slash - m)] / 3s, q2 = p - q1
-        q1 = k * _NODE_DIRECTIONS + [E, 0.0, 0.0, 0.0, m]
-        q2 = -k * _NODE_DIRECTIONS + [E, 0.0, 0.0, 0.0, -m]
-        values = -((q1 @ _PI_FORM) * q2).sum(axis=1) / (3.0 * s)
-        return _angular_phase_space(s, values, k)
-
-    if which == "Sigma":
+        thr = 4.0 * m * m
+    elif which == "Sigma":
         if photon_mass < 0:
             raise ValueError("photon mass must be nonnegative")
         if component not in _SIGMA_FORMS:
             raise ValueError(f"unknown Sigma component {component!r}")
-        if s <= (m + photon_mass) ** 2:
-            return 0.0
-        k = math.sqrt(_kallen(s, m, photon_mass)) / (2.0 * math.sqrt(s))
-        Eq = (s + m * m - photon_mass * photon_mass) / (2.0 * math.sqrt(s))
+        thr = (m + photon_mass) ** 2
+    else:
+        raise ValueError(f"unknown Green function {which!r}")
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape)
+    above = ~(s <= thr)  # NaN is not below threshold, and stays NaN
+    sa = s[above]
+    if which == "Pi":
+        k = np.sqrt(sa / 4.0 - m * m)
+        E = np.sqrt(sa) / 2.0
+        # -proj_mn Tr[gamma^m (q1slash + m) gamma^n (q2slash - m)] / 3s, q2 = p - q1
+        node_sum = np.einsum("nib,nib,i->n", _legs(k, E, m) @ _PI_FORM, _legs(-k, E, -m),
+                             _COS_WEIGHTS) / (-3.0 * sa)
+    else:
+        k = np.sqrt(_kallen(sa, m, photon_mass)) / (2.0 * np.sqrt(sa))
+        Eq = (sa + m * m - photon_mass * photon_mass) / (2.0 * np.sqrt(sa))
         # gamma^mu (qslash + m) gamma_mu projected on 1 (a) or pslash / s (b)
-        values = (k * _NODE_DIRECTIONS + [Eq, 0.0, 0.0, 0.0, m]) @ _SIGMA_FORMS[component]
+        node_sum = np.einsum("nia,a,i->n", _legs(k, Eq, m), _SIGMA_FORMS[component],
+                             _COS_WEIGHTS)
         if component == "b":
-            values = values / math.sqrt(s)
-        return _angular_phase_space(s, values, k)
-
-    raise ValueError(f"unknown Green function {which!r}")
+            node_sum /= np.sqrt(sa)
+    out[above] = _angular_phase_space(sa, node_sum, k)
+    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -114,7 +136,7 @@ class VacuumPolarization:
     def threshold(self) -> float:
         return 4.0 * self.m * self.m
 
-    def rho(self, s: float) -> float:
+    def rho(self, s):
         return causal_imaginary_part("Pi", self.m, s)
 
     @cached_property
@@ -143,11 +165,11 @@ class SelfEnergy:
     def threshold(self) -> float:
         return (self.m + self.photon_mass) ** 2
 
-    def rho_a(self, s: float) -> float:
+    def rho_a(self, s):
         return causal_imaginary_part("Sigma", self.m, s,
                                      photon_mass=self.photon_mass, component="a")
 
-    def rho_b(self, s: float) -> float:
+    def rho_b(self, s):
         return causal_imaginary_part("Sigma", self.m, s,
                                      photon_mass=self.photon_mass, component="b")
 

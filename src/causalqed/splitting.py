@@ -69,6 +69,14 @@ _GL_SIZES, _GL_TAIL, _GL_DIRECT = [32 * 2 ** p for p in range(5)], 1e-13, 1e8
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
+@functools.cache
+def _legendre_vander(N: int) -> np.ndarray:
+    """P_k(x_i) for k < N at the N Gauss-Legendre nodes x_i, read-only."""
+    V = np.polynomial.legendre.legvander(_gauss_legendre(N)[0], N - 1)
+    V.flags.writeable = False
+    return V
+
+
 def _points(E):
     """E as a float, or as a float ndarray if it has dimensions: the sampled
     callbacks here take either and are evaluated elementwise."""
@@ -164,14 +172,14 @@ def _legendre_levels(density, thr: float):
     """Nodes t and weights w on [0, 1], g(t) = 2 s' density(s') with
     s' = thr / (1 - t^2), and c_k with g = sum_k c_k P_k(2t - 1), for N
     doubling up the Gauss-Legendre sizes.  The tail is the outer quarter of
-    the orthonormal c_k."""
+    the orthonormal c_k.  density takes the N nodes s' as one ndarray and
+    returns an array of its shape."""
     for N in _GL_SIZES:
         x, w = _gauss_legendre(N)
         t = (x + 1.0) / 2.0
-        g = _sampled("Gauss-Legendre table",
-                     lambda sp: 2.0 * sp * np.array([density(v) for v in sp.tolist()]),
+        g = _sampled("Gauss-Legendre table", lambda sp: 2.0 * sp * density(sp),
                      thr / (1.0 - t * t))
-        c = (np.arange(N) + 0.5) * ((w * g) @ np.polynomial.legendre.legvander(x, N - 1))
+        c = (np.arange(N) + 0.5) * ((w * g) @ _legendre_vander(N))
         yield _tail_level(N, (t, w / 2.0, g, c.tolist()), np.abs(c) / np.sqrt(np.arange(N) + 0.5),
                           _GL_TAIL)
 
@@ -179,8 +187,10 @@ def _legendre_levels(density, thr: float):
 def dispersion(density, thr: float):
     """The Cauchy transform z -> (1/pi) integral_thr^inf density(s') / (s' - z) ds'.
 
-    `density` is real and thr > 0.  Real z below thr gives a float; real z
-    on the support gives the boundary value from above, PV + i density(z).
+    `density` is real and thr > 0; it takes an ndarray of s' and returns an
+    array of its shape, and the table samples it in one call per size.
+    Real z below thr gives a float; real z on the support gives the
+    boundary value from above, PV + i density(z).
     With s' = thr / (1 - t^2) and g(t) = 2 s' density(s') it is
     (1 / 2 pi z) integral_0^1 g(t) [1/(t - t0) + 1/(t + t0)] dt, where
     t0^2 = (z - thr) / z and Re t0 >= 0.  Each evaluation is O(N) in the

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalqed.distributions import GAMMA, METRIC, IDENTITY4, slash
 from causalqed.qed2 import (MasslessNormalizationError, SelfEnergy,
                             VacuumPolarization, build_self_energy,
                             build_vacuum_polarization, causal_imaginary_part,
                             check_on_shell)
+from causalqed.splitting import _GL_SIZES
 
 M = 1.0
 
@@ -92,11 +95,57 @@ def test_rho_matches_explicit_trace_reference():
                 got = causal_imaginary_part(which, m, s, photon_mass=mu, component=component)
                 want = _reference_imaginary_part(which, m, s, mu, component)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+                # the array path, with a point below threshold beside it
+                got = causal_imaginary_part(which, m, np.array([0.5 * thr, s]),
+                                            photon_mass=mu, component=component)
+                assert got[0] == 0.0
+                assert got[1] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_rho_vanishes_below_threshold():
     assert causal_imaginary_part("Pi", M, 3.9) == 0.0
     assert causal_imaginary_part("Sigma", M, 1.2, photon_mass=0.1) == 0.0
+
+
+_KINDS = (("Pi", "a"), ("Sigma", "a"), ("Sigma", "b"))
+
+
+def _threshold(which, m, mu):
+    return 4.0 * m * m if which == "Pi" else (m + mu) ** 2
+
+
+# s / thr below, exactly at and above the threshold
+_S_OVER_THR = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0),
+                        st.floats(1.0, 1e4, exclude_min=True))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(_KINDS), st.floats(0.1, 5.0),
+       st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+       st.lists(_S_OVER_THR, min_size=1, max_size=12))
+def test_rho_array_equals_the_scalar_path(kind, m, mu_over_m, s_over_thr):
+    which, component = kind
+    mu = mu_over_m * m
+    s = _threshold(which, m, mu) * np.array(s_over_thr)
+    got = causal_imaginary_part(which, m, s, photon_mass=mu, component=component)
+    assert got.shape == s.shape and got.dtype == np.float64
+    for g, x in zip(got, s.tolist()):
+        want = causal_imaginary_part(which, m, x, photon_mass=mu, component=component)
+        assert isinstance(want, float)
+        assert abs(g - want) <= 1e-15 * abs(want)
+
+
+def test_rho_keeps_nan():
+    # a NaN s is neither below nor above threshold: it gives NaN, not 0
+    for which, component in _KINDS:
+        rho = lambda s: causal_imaginary_part(which, M, s, photon_mass=0.1, component=component)
+        assert math.isnan(rho(math.nan))
+        got = rho(np.array([[0.5, math.nan], [9.0, math.nan]]))
+        assert got[0, 0] == 0.0 and got[1, 0] == pytest.approx(rho(9.0), rel=1e-15, abs=0.0)
+        assert np.isnan(got[:, 1]).all()
+    vp = build_vacuum_polarization(M)
+    assert math.isnan(vp.rho(math.nan))
+    assert np.isnan(vp.rho(np.array([math.nan]))).all()
 
 
 def test_input_validation():
@@ -178,22 +227,33 @@ def test_on_shell_self_energy(se):
 
 
 def _count_density_calls(monkeypatch):
+    """Each density call's Green function, Sigma component and number of
+    points s, in call order."""
     import causalqed.qed2 as qed2
 
     calls = []
     density = qed2.causal_imaginary_part
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return density(*args, **kwargs)
+    def counted(which, m, s, **kwargs):
+        calls.append((which, kwargs.get("component"), np.size(s)))
+        return density(which, m, s, **kwargs)
 
     monkeypatch.setattr(qed2, "causal_imaginary_part", counted)
     return calls
 
 
+def _one_call_per_level(calls, which, component=None):
+    """The call sizes of one density are the Gauss-Legendre sizes up to the
+    one its table stopped at: one call per level, on all of its nodes."""
+    sizes = [n for w, c, n in calls if (w, c) == (which, component)]
+    return len(sizes) > 0 and sizes == _GL_SIZES[:len(sizes)]
+
+
 def test_each_green_function_tabulates_its_density_once(monkeypatch):
     calls = _count_density_calls(monkeypatch)
     se = build_self_energy(M)
+    assert _one_call_per_level(calls, "Sigma", "a") and _one_call_per_level(calls, "Sigma", "b")
+    assert {c for _, c, _ in calls} == {"a", "b"}
     calls.clear()
     for s in np.linspace(-3.0, 12.0, 10):
         se.a(s)
@@ -204,10 +264,12 @@ def test_each_green_function_tabulates_its_density_once(monkeypatch):
     assert len(calls) == 0
     fresh = SelfEnergy(se.m, se.photon_mass, se.constants)
     assert check_on_shell(fresh) == report
+    assert _one_call_per_level(calls, "Sigma", "a") and _one_call_per_level(calls, "Sigma", "b")
+    calls.clear()
 
     vp_fresh = VacuumPolarization(M, (0.0, 0.0))
     vp_fresh.scalar_part(5.0)
-    assert len(calls) > 0
+    assert _one_call_per_level(calls, "Pi") and {w for w, _, _ in calls} == {"Pi"}
     calls.clear()
     for s in (-3.0, 0.0, 2.0, 9.0, 2.0 + 1.5j):
         vp_fresh.scalar_part(s)

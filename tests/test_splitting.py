@@ -252,11 +252,11 @@ def test_tables_report_size_and_tail_estimate():
     assert (N, len(a)) == (256, 512)
     assert 0.0 < estimate <= 1e-14 * np.abs(a).max()
 
-    # a Gauss-Legendre level draws N samples
+    # a Gauss-Legendre level draws its N samples in one density call
     calls = []
-    density = lambda sp: calls.append(sp) or 1.0 / (sp - 0.5)
+    density = lambda sp: calls.append(sp.shape) or 1.0 / (sp - 0.5)
     (t, w, g, c), N, estimate = _converge("Gauss-Legendre table", _legendre_levels(density, 1.0))
-    assert len(t) == len(c) == N and len(calls) == sum(n for n in _GL_SIZES if n <= N)
+    assert len(t) == len(c) == N and calls == [(n,) for n in _GL_SIZES if n <= N]
     assert 0.0 < estimate <= 1e-13 * np.max(np.abs(c) / np.sqrt(np.arange(N) + 0.5))
 
 
@@ -267,4 +267,4 @@ def test_tables_name_the_first_non_finite_sample():
     with pytest.raises(ArithmeticError, match=r"^non-finite rational-basis table sample at 3\."):
         split(nan_above_3, SplitSpec(omega=-1)).retarded.eval_fn(0.5)
     with pytest.raises(ArithmeticError, match=r"^non-finite Gauss-Legendre table sample at 1\."):
-        dispersion(lambda sp: math.nan if sp < 2.0 else 1.0 / sp, 1.0)(0.5)
+        dispersion(lambda sp: np.where(sp < 2.0, math.nan, 1.0 / sp), 1.0)(0.5)
