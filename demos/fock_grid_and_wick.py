@@ -2,7 +2,8 @@
 products.
 
 The grid realizes delta(p - q) -> delta_ij / w_i, so (anti)commutators
-are exact below the particle-number cutoff; kernel operators evaluated
+are exact below the particle-number cutoff, where creation on a state
+built from the vacuum stops; kernel operators evaluated
 through the eta-pairing reproduce direct ladder application, and
 composed kernel operators reproduce operator products term by term.
 """
@@ -10,15 +11,25 @@ composed kernel operators reproduce operator products term by term.
 import numpy as np
 
 from causalqed.adiabatic import product_of_limits
-from causalqed.fock import (BOSE, FERMI, DiscreteKernel, FockGridState,
-                            _basis_configs, apply_kernel, commutator_check,
-                            grid_inner, uniform_grid, xi_matrix_element)
+from causalqed.fock import (BOSE, FERMI, DiscreteKernel, FockGridState, TruncationError,
+                            _basis_configs, apply_creation, apply_kernel, commutator_check,
+                            grid_inner, uniform_grid, vacuum_state, xi_matrix_element)
 from causalqed.wick import operator_product, qed_vertex, vacuum_expectation
 
 print("grid ladder-operator relations (6 modes, cutoff 3)")
 for stat in (BOSE, FERMI):
     dev = commutator_check(uniform_grid(6, statistic=stat), cutoff=3)
     print(f"  {stat}: max deviation from delta_ij / w_i = {dev:.3e}")
+
+print("\nstates built from the vacuum (2 Bose modes, cutoff 2)")
+small = uniform_grid(2, statistic=BOSE)
+two = apply_creation(0, apply_creation(0, vacuum_state(small, cutoff=2)))
+print(f"  a+(0) a+(0) |0> = {two.amplitudes[(2, 0)].real:.10f} |2,0>"
+      f"  (sqrt(2) / w = {np.sqrt(2.0) / small.weights[0]:.10f})")
+try:
+    apply_creation(1, two)
+except TruncationError as exc:
+    print(f"  a third creation: {exc}")
 
 print("\nkernel pairing vs direct ladder application")
 rng = np.random.default_rng(0)

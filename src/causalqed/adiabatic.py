@@ -43,15 +43,14 @@ CHANNELS = ("Sigma_into_psi", "Pi_into_A", "Pi_into_current", "massless_charge")
 class ScalingFamily:
     """Scaling family of switching functions via the transform profile.
 
-    g_hat is the Fourier transform of the profile g with g(0) = alpha0;
-    g_eps(x) = g(eps x) corresponds to g_hat_eps(p) = eps^-4 g_hat(p/eps).
+    g_hat is the Fourier transform of the profile g; g_eps(x) = g(eps x)
+    has the transform eps^-4 g_hat(p/eps).
     g_hat takes an array of 4-vectors, shape (..., 4), and returns an
     array of shape (...): the weak limit evaluates it once on its whole
     node grid for k and once for -k.
     """
 
     g_hat: object
-    alpha0: float = 1.0
     epsilon_schedule: tuple = DEFAULT_SCHEDULE
 
     def __post_init__(self):
@@ -63,10 +62,6 @@ class ScalingFamily:
         if sched[-1] < 1e-300:
             raise ValueError("epsilon below machine-safe minimum")
         self.epsilon_schedule = sched
-
-    def g_hat_eps(self, p, eps: float):
-        p = np.asarray(p, dtype=float)
-        return self.g_hat(p / eps) / eps ** 4
 
 
 def _euclidean_square(p):
@@ -87,7 +82,7 @@ def gaussian_profile(alpha0: float = 1.0, width: float = 1.0) -> ScalingFamily:
     def g_hat(p):
         return norm * np.exp(-a * _euclidean_square(p))
 
-    return ScalingFamily(g_hat=g_hat, alpha0=alpha0)
+    return ScalingFamily(g_hat=g_hat)
 
 
 def bump_profile(alpha0: float = 1.0, width: float = 1.0, shape: float = 0.5) -> ScalingFamily:
@@ -106,7 +101,7 @@ def bump_profile(alpha0: float = 1.0, width: float = 1.0, shape: float = 0.5) ->
         r2 = _euclidean_square(p)
         return norm * (1.0 + shape * r2) * np.exp(-a * r2)
 
-    return ScalingFamily(g_hat=g_hat, alpha0=alpha0)
+    return ScalingFamily(g_hat=g_hat)
 
 
 @dataclass

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .adiabatic import SWEEP_MIN_STEPS, ScalingFamily, gaussian_profile, sweep
+from .adiabatic import CHANNELS, SWEEP_MIN_STEPS, ScalingFamily, gaussian_profile, sweep
 from .distributions import CausalDistribution, scaling_degree_estimate
 from .fock import commutator_check, uniform_grid
 from .induction import LatticeToy, OrderData, extend_series
@@ -98,19 +98,12 @@ def _write(out: str, files: dict) -> None:
 
 
 def _split_input(args):
-    """(distribution, omega) named by --toy or by the --config file."""
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("config must be a JSON object")
-    toy_name = args.toy or cfg.get("toy")
-    if toy_name:
-        if toy_name not in _TOYS:
-            raise ValueError(f"unknown toy distribution {toy_name!r}")
-        return _TOYS[toy_name]()
-    raise ValueError("config must name a toy")
+    """(distribution, omega) of the toy named by --toy."""
+    if not args.toy:
+        raise ValueError("--toy must name a toy distribution")
+    if args.toy not in _TOYS:
+        raise ValueError(f"unknown toy distribution {args.toy!r}")
+    return _TOYS[args.toy]()
 
 
 def cmd_split(args) -> dict:
@@ -183,6 +176,8 @@ def cmd_sweep(args) -> dict:
             raise _InvalidInput("schedule must satisfy eps_start > eps_stop")
         if args.eps_steps < SWEEP_MIN_STEPS:
             raise _InvalidInput(f"a sweep needs at least {SWEEP_MIN_STEPS} eps steps to classify")
+        if args.mu is not None and channel != "Sigma_into_psi":
+            raise _InvalidInput(f"--mu applies to Sigma_into_psi only, not {channel}")
         sched = tuple(np.geomspace(args.eps_start, args.eps_stop, args.eps_steps))
         family = ScalingFamily(g_hat=gaussian_profile().g_hat, epsilon_schedule=sched)
         green = None if channel == "massless_charge" else _green_from_args(
@@ -258,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--c1", type=float, default=0.0)
 
     sp = subcommand("split", "cmd_split", "split a causal toy distribution")
-    sp.add_argument("--config", help="JSON configuration file")
     sp.add_argument("--toy", help="built-in toy: " + ", ".join(sorted(_TOYS)))
     for flag in ("--c0", "--c1", "--c2"):
         sp.add_argument(flag, type=float)
@@ -270,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand("adiabatic-sweep", "cmd_sweep", "run an adiabatic-limit sweep")
     green_options(sp, photon_mass=True)
-    sp.add_argument("--channel", default="Sigma_into_psi",
-                    choices=["Sigma_into_psi", "Pi_into_A", "Pi_into_current",
-                             "massless_charge"])
+    sp.add_argument("--channel", default="Sigma_into_psi", choices=CHANNELS)
     sp.add_argument("--eps-start", type=float, default=DEFAULTS["eps_start"])
     sp.add_argument("--eps-stop", type=float, default=DEFAULTS["eps_stop"])
     sp.add_argument("--eps-steps", type=int, default=DEFAULTS["eps_steps"])

@@ -1,5 +1,5 @@
-"""Momentum-space distributions, the Dirac algebra, and power-counting
-of singularity orders.
+"""Momentum-space distributions, the Dirac algebra, and a fitted
+scaling-degree estimate of a distribution's singularity order.
 
 Conventions used everywhere: metric (+,-,-,-), hbar = c = 1, Fourier
 transform g_hat(p) = integral g(x) exp(i p.x) d^4x.
@@ -7,7 +7,6 @@ transform g_hat(p) = integral g(x) exp(i p.x) d^4x.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,26 +54,6 @@ class CausalDistribution:
     eval_fn: object = None
     omega: int = 0
     support_tag: str = "none"  # causal | retarded | advanced | none
-
-
-@dataclass(frozen=True)
-class ExternalLineSpec:
-    """External-line counts for power-counting bounds."""
-
-    fermion_lines: int = 0
-    photon_lines: int = 0
-    derivatives: int = 0
-
-    def __post_init__(self):
-        for name in ("fermion_lines", "photon_lines", "derivatives"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-def singularity_bound(spec: ExternalLineSpec) -> int:
-    """Spinor-QED power-counting bound on the singularity order omega:
-    omega <= 4 - 3f/2 - k - d, floored when 3f/2 is odd-half."""
-    return math.floor(4 - 1.5 * spec.fermion_lines - spec.photon_lines - spec.derivatives)
 
 
 # the ray samples lam at which scaling_degree_estimate fits

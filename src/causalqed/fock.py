@@ -91,12 +91,6 @@ class FockGridState:
     def scaled(self, z) -> "FockGridState":
         return FockGridState(self.grid, self.cutoff, {c: z * a for c, a in self.amplitudes.items()})
 
-    def __add__(self, other):
-        amps = dict(self.amplitudes)
-        for c, a in other.amplitudes.items():
-            amps[c] = amps.get(c, 0.0) + a
-        return FockGridState(self.grid, self.cutoff, {c: a for c, a in amps.items() if a != 0})
-
 
 def vacuum_state(grid: MomentumGrid, cutoff: int) -> FockGridState:
     return FockGridState(grid, cutoff, {tuple([0] * grid.n_modes): 1.0 + 0.0j})
@@ -191,14 +185,6 @@ def apply_creation(mode: int, state: FockGridState) -> FockGridState:
 def apply_annihilation(mode: int, state: FockGridState) -> FockGridState:
     basis = _basis(state.grid, state.cutoff)
     return _state(state, basis, _ladder(basis, state.grid, mode, _vector(state, basis), False))
-
-
-def basis_state(grid: MomentumGrid, cutoff: int, modes) -> FockGridState:
-    """Creation operators applied to the vacuum, rightmost mode first."""
-    st = vacuum_state(grid, cutoff)
-    for m in reversed(list(modes)):
-        st = apply_creation(m, st)
-    return st
 
 
 def grid_inner(phi: FockGridState, psi: FockGridState, krein: bool = False):

@@ -1,8 +1,10 @@
 """Inductive construction of the perturbative scattering operator:
 series inversion, the partition sums for the auxiliary kernels A'_n and
 R'_n, their causal difference D_n, and assembly of S_n from a splitting
-of D_n.  Numeric causal-support verification runs on a 1D lattice toy
-model (a single damped oscillator mode) where retarded support is
+of D_n.  Every vertex and switching function is bosonic, so each
+partition term enters its sum with one fixed sign: +1 in A'_n and R'_n,
+-1 in Sbar_n.  Numeric causal-support verification runs on a 1D lattice
+toy model (a single damped oscillator mode) where retarded support is
 machine-checkable.
 """
 
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grassmann import BOSE, GradedVar, reorder_sign
 from .splitting import _converge, _sampled
 from .wick import ONE, Factor, WickMonomial, WickPolynomial, operator_product
 
@@ -37,19 +38,10 @@ class OrderData:
 
     Kernels are stored with canonical slots x1..xk and relabeled to
     subsets on demand (permutation symmetry of the kernels assumed).
-    grades maps slot labels to Grassmann grades of the attached sources;
-    unlisted slots are bosonic.
     """
 
     S: dict = field(default_factory=dict)
     Sbar: dict = field(default_factory=dict)
-    grades: dict = field(default_factory=dict)
-
-    def grade_of(self, label: str) -> int:
-        return self.grades.get(label, BOSE)
-
-    def graded(self, labels):
-        return [GradedVar(l, self.grade_of(l)) for l in labels]
 
     def S_at(self, labels) -> WickPolynomial:
         k = len(labels)
@@ -72,24 +64,19 @@ def invert_series(data: OrderData, n: int) -> None:
     """Fill data.Sbar up to order n from S Sbar = 1 order by order.
 
     Sbar(Z) = - sum over subsets X of Z with X nonempty of
-    sign(X, Z minus X) S(X) Sbar(Z minus X); in particular Sbar_1 = -S_1.
+    S(X) Sbar(Z minus X); in particular Sbar_1 = -S_1.
     """
     for k in range(1, n + 1):
         if k in data.Sbar:
             continue
         if k not in data.S:
             raise SeriesError(f"S_{k} needed to invert the series at order {k}")
-        labels = slot_names(k)
-        source = data.graded(labels)
 
         def products(j):
             return (operator_product(data.S_at(slot_names(j)),
                                      data.Sbar_at(slot_names(k - j, offset=j))),)
 
-        def signs(X, Y):
-            return (-reorder_sign(source, data.graded(X + Y)),)
-
-        (data.Sbar[k],) = _partition_sums(labels, (), 1, products, signs)
+        (data.Sbar[k],) = _partition_sums(slot_names(k), (), (-1,), products)
 
 
 def _proper_partitions(labels):
@@ -102,28 +89,27 @@ def _proper_partitions(labels):
         yield X, Y
 
 
-def _partition_sums(Z, tail, width, products, signs):
-    """Signed partition sums over Z = X disjoint-union Y with X nonempty.
+def _partition_sums(Z, tail, signs, products):
+    """Partition sums over Z = X disjoint-union Y with X nonempty.
 
     The kernels are permutation symmetric (Epstein-Glaser), so every
     partition with |X| = j gives a relabelled copy of one product on
-    canonical slots.  products(j) returns one product per sum, `width` in
-    all, with X on x1..xj, Y on the next slots and tail last.  Each sum
-    adds its product relabelled to X + Y + tail, times its entry of
-    signs(X, Y).  The partitions are visited in `_proper_partitions`
-    order, so every key adds its float terms in the order of a
-    per-partition loop, and each size's products are dropped after their
-    last partition.
+    canonical slots.  products(j) returns one product per sum, one per
+    entry of `signs`, with X on x1..xj, Y on the next slots and tail last.
+    Each sum adds its product relabelled to X + Y + tail, times its fixed
+    sign.  The partitions are visited in `_proper_partitions` order, so
+    every key adds its float terms in the order of a per-partition loop,
+    and each size's products are dropped after their last partition.
     """
     canonical = slot_names(len(Z) + len(tail))
     remaining = {j: math.comb(len(Z), j) for j in range(1, len(Z) + 1)}
-    held, sums = {}, [{} for _ in range(width)]
+    held, sums = {}, [{} for _ in signs]
     for X, Y in _proper_partitions(Z):
         j = len(X)
         if j not in held:
             held[j] = products(j)
         mapping = dict(zip(canonical, X + Y + tail))
-        for total, product, sign in zip(sums, held[j], signs(X, Y)):
+        for total, product, sign in zip(sums, held[j], signs):
             for key, c in product.relabel(mapping)._terms.items():
                 total[key] = total.get(key, 0) + sign * c
         remaining[j] -= 1
@@ -147,8 +133,8 @@ MAX_SYMBOLIC_ORDER = 6
 def build_Aprime_Rprime(n: int, data: OrderData) -> InductiveStep:
     """Partition sums over Z = X disjoint-union Y with X nonempty:
 
-    A'_n = sum sign(X, Y, x_n) Sbar(X) S(Y, x_n)
-    R'_n = sum sign(Y, x_n, X) S(Y, x_n) Sbar(X)
+    A'_n = sum Sbar(X) S(Y, x_n)
+    R'_n = sum S(Y, x_n) Sbar(X)
     D_n  = R'_n - A'_n
     """
     if n > MAX_SYMBOLIC_ORDER:
@@ -156,20 +142,13 @@ def build_Aprime_Rprime(n: int, data: OrderData) -> InductiveStep:
     if n < 1:
         raise SeriesError("order must be >= 1")
     invert_series(data, n - 1)
-    Z = slot_names(n - 1)
-    xn = f"x{n}"
-    source = data.graded(Z + (xn,))
 
     def products(j):
         SbX = data.Sbar_at(slot_names(j))
         SY = data.S_at(slot_names(n - j, offset=j))
         return operator_product(SbX, SY), operator_product(SY, SbX)
 
-    def signs(X, Y):
-        return (reorder_sign(source, data.graded(X + Y + (xn,))),
-                reorder_sign(source, data.graded(Y + (xn,) + X)))
-
-    Ap, Rp = _partition_sums(Z, (xn,), 2, products, signs)
+    Ap, Rp = _partition_sums(slot_names(n - 1), (f"x{n}",), (1, 1), products)
     scale = max(Ap.max_abs_coeff(), Rp.max_abs_coeff(), 1.0)
     D = (Rp - Ap).chopped(1e-12, scale=scale)
     return InductiveStep(order=n, Aprime=Ap, Rprime=Rp, D=D, n_partitions=partition_count(n))
@@ -258,10 +237,6 @@ class LatticeToy:
         kw, kg = k * w, k * g
         return (1.0 / (kg - 1j * (E - kw)) - 1.0 / (kg - 1j * (E + kw))) / (2.0 * w) ** k
 
-    def timeordered_t(self, t: float, k: int = 1) -> complex:
-        """Chronological pairing power: theta(t) Dplus(t)^k + theta(-t) Dplus(-t)^k."""
-        return self.dplus_t(abs(t), k)
-
 
 # trapezoid interval counts at which window_smear tests convergence
 _SMEAR_MIN, _SMEAR_MAX = 64, 2 ** 16
@@ -310,12 +285,11 @@ def lattice_support_check(fhat, side: str = "retarded") -> dict:
     """Max window-smeared magnitude on the forbidden side.
 
     side = "retarded": windows at t = -1, -2, -3 must pair to ~0;
-    "advanced": windows at t = +1, +2, +3; "causal": in one dimension the
-    forward and backward cones cover every t != 0, so the forbidden
-    region is empty and leakage is 0 by geometry.
+    "advanced": windows at t = +1, +2, +3.  Any other side raises
+    ValueError.
     """
-    if side == "causal":
-        return {"leakage": 0.0, "reference": 1.0, "side": side}
+    if side not in ("retarded", "advanced"):
+        raise ValueError(f"side must be 'retarded' or 'advanced', got {side!r}")
     sgn = -1.0 if side == "retarded" else 1.0
     forbidden = [window_smear(fhat, sgn * t, _SUPPORT_SIGMA) for t in _SUPPORT_T]
     allowed = [window_smear(fhat, -sgn * t, _SUPPORT_SIGMA) for t in _SUPPORT_T]

@@ -192,10 +192,6 @@ class SelfEnergy:
     def b_prime_shell(self) -> float:
         return self._transforms[1](self.m * self.m)
 
-    def shell_combination(self) -> complex:
-        """a(m^2) + m b(m^2): the dangerous on-shell coefficient."""
-        return self.a(self.m * self.m) + self.m * self.b(self.m * self.m)
-
     def matrix(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         s = p[0] * p[0] - np.dot(p[1:], p[1:])

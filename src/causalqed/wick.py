@@ -74,14 +74,11 @@ class FieldLeg(NamedTuple):
 
 
 class Factor(NamedTuple):
-    """A symbolic coefficient factor; tuple order is `key` order."""
+    """A symbolic coefficient factor, ordered by (kind, name, args)."""
 
     kind: str  # "pair" | "tag" | "ret"
     name: str
     args: tuple = ()
-
-    def key(self):
-        return (self.kind, self.name, self.args)
 
 
 def pair_factor(left: FieldLeg, right: FieldLeg) -> Factor:
@@ -241,7 +238,6 @@ class WickPolynomial:
         return cls(monos)
 
 
-ZERO = WickPolynomial()
 ONE = WickPolynomial([WickMonomial(1.0 + 0.0j, (), ())])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from causalqed import adiabatic
 from causalqed.adiabatic import (_WEAK_K, _WEAK_MEASURE, _WEAK_Q, CHANNELS,
-                                 DEFAULT_SCHEDULE, ScalingFamily,
+                                 DEFAULT_SCHEDULE, SWEEP_MIN_STEPS, ScalingFamily,
                                  _massless_standoff, bump_profile,
                                  classify_sweep, epsilon_free_evaluation,
                                  gaussian_profile, sweep, weak_limit_vacuum)
@@ -33,13 +33,6 @@ def test_schedule_validation():
             ScalingFamily(g_hat=lambda p: 1.0, epsilon_schedule=bad)
 
 
-def test_g_hat_eps_scaling_identity():
-    fam = gaussian_profile()
-    p = np.array([0.3, 0.1, 0.0, 0.2])
-    eps = 0.25
-    assert fam.g_hat_eps(p, eps) == pytest.approx(fam.g_hat(p / eps) / eps ** 4)
-
-
 _DELTA_X, _DELTA_W = np.polynomial.legendre.leggauss(20)
 # the 20^4 product rule on k in [-5, 5]^4: nodes (20, 20, 20, 20, 4) and weights
 _DELTA_K = np.stack(np.meshgrid(*[5.0 * _DELTA_X] * 4, indexing="ij"), axis=-1)
@@ -47,7 +40,7 @@ _DELTA_W4 = np.einsum("i,j,k,l->ijkl", *[5.0 * _DELTA_W] * 4)
 
 
 def scaling_delta_check(family: ScalingFamily, F, eps: float) -> complex:
-    """integral g_hat_eps(p) F(p) d^4p by substitution p = eps k, with one
+    """integral eps^-4 g_hat(p/eps) F(p) d^4p by substitution p = eps k, with one
     g_hat call and one F call on the whole node grid."""
     return complex(np.sum(_DELTA_W4 * family.g_hat(_DELTA_K) * F(eps * _DELTA_K)))
 
@@ -80,6 +73,13 @@ def test_classify_sweep_synthetic():
 
     short = classify_sweep(eps[:2], eps[:2])
     assert short.verdict == "inconclusive"
+
+    # the shortest schedule that classifies: kappa/eps + b on three points
+    shortest = eps[:SWEEP_MIN_STEPS]
+    assert len(shortest) == 3
+    first = classify_sweep(shortest, 0.3 / shortest + 2.0)
+    assert first.verdict == "diverged"
+    assert first.fitted_exponent == pytest.approx(-1.0, abs=1e-12)
 
     # a constant that dominates |value| cancels in the increments, so the
     # exponent stays that of the 1/eps term

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from causalqed import cli
+from causalqed.adiabatic import CHANNELS
 from causalqed.cli import main
 from causalqed.wick import WickPolynomial
 
@@ -39,10 +40,10 @@ def test_split_ignores_constants_below_order_zero(tmp_path, capsys):
 
 
 def test_split_unknown_toy_and_empty_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"toy": "no-such-toy"}))
-    assert main(["split", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert main(["split", "--out", str(tmp_path)]) == 2  # no toy
+    assert run(tmp_path, "split", "--toy", "no-such-toy") == 2
+    assert run(tmp_path, "split", "--toy", "") == 2
+    assert run(tmp_path, "split") == 2  # no toy
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_split_non_convergent_toy_is_numeric_failure(tmp_path, monkeypatch, capsys):
@@ -57,25 +58,6 @@ def test_split_non_convergent_toy_is_numeric_failure(tmp_path, monkeypatch, caps
     assert "rational-basis table not converged at N = 4096: estimate" in capsys.readouterr().err
 
 
-def test_split_descriptor_with_wrong_support(tmp_path):
-    # a config that names no toy is a validation failure, whatever else it holds
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"descriptor": {"kind": "Dret", "mass": 1.0}}))
-    assert main(["split", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-
-
-def test_split_bad_config_is_validation_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    assert run(tmp_path, "split", "--config", str(tmp_path / "missing.json")) == 2
-    for text in ('{"descriptor": ', json.dumps([1, 2]),
-                 json.dumps({"descriptor": {"mass": 1.0}}),
-                 json.dumps({"descriptor": {"kind": "Dfoo", "mass": 1.0}}),
-                 json.dumps({"descriptor": {"kind": "pauli_jordan", "mass": "heavy"}}),
-                 json.dumps({"descriptor": {"kind": "pauli_jordan", "mass": None}})):
-        cfg.write_text(text)
-        assert run(tmp_path, "split", "--config", str(cfg)) == 2, text
-
-
 @pytest.mark.parametrize("argv", [
     ["vacuum-pol", "--config", "missing.json"],
     ["vacuum-pol", "--mu", "0.1"],
@@ -84,6 +66,7 @@ def test_split_bad_config_is_validation_error(tmp_path):
     ["adiabatic-sweep", "--tol", "1e-6"],
     ["fock-check", "--m", "2"],
     ["wick-expand", "--normalization", "custom"],
+    ["split", "--toy", "sgn-exp", "--config", "cfg.json"],
 ])
 def test_ignored_options_are_rejected(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -155,6 +138,33 @@ def test_sweep_exponent_with_nearly_cancelling_constants(tmp_path):
         verdict = json.loads((tmp_path / "sweep_verdict.json").read_text())
         assert verdict["verdict"] == "diverged"
         assert verdict["fitted_exponent"] == pytest.approx(-1.0, abs=tol)
+
+
+def test_sweep_channels_are_the_library_channels(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.channel) or {})
+    for channel in CHANNELS:
+        assert run(tmp_path, "adiabatic-sweep", "--channel", channel) == 0
+    assert seen == list(CHANNELS)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "adiabatic-sweep", "--channel", "Sigma")
+    assert exc.value.code == 2
+    # the parser holds the library's tuple, not a copy of it
+    (subcommands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (option,) = [a for a in subcommands.choices["adiabatic-sweep"]._actions
+                 if a.dest == "channel"]
+    assert option.choices is CHANNELS
+
+
+@pytest.mark.parametrize("channel", ["Pi_into_A", "Pi_into_current", "massless_charge"])
+def test_photon_mass_outside_the_self_energy_channel_is_validation_error(
+        tmp_path, capsys, channel):
+    # only Sigma_into_psi builds a self-energy, the one Green function with a photon mass
+    assert run(tmp_path, "adiabatic-sweep", "--channel", channel, "--mu", "0.1") == 2
+    assert f"--mu applies to Sigma_into_psi only, not {channel}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert run(tmp_path, "adiabatic-sweep", "--channel", "Sigma_into_psi", "--mu", "0.1",
+               "--eps-steps", "3") == 0
 
 
 def test_sweep_schedule_validation(tmp_path):

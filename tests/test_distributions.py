@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from causalqed.distributions import (GAMMA, IDENTITY4, METRIC, ExternalLineSpec,
-                                     scaling_degree_estimate, singularity_bound, slash)
+from causalqed.distributions import GAMMA, IDENTITY4, METRIC, scaling_degree_estimate, slash
 
 
 def minkowski(p, q) -> float:
@@ -28,16 +27,6 @@ def test_slash_squares_to_p2():
 def test_minkowski_signature():
     assert minkowski([1, 0, 0, 0], [1, 0, 0, 0]) == 1.0
     assert minkowski([0, 1, 0, 0], [0, 1, 0, 0]) == -1.0
-
-
-def test_singularity_bounds():
-    assert singularity_bound(ExternalLineSpec(fermion_lines=2)) == 1
-    assert singularity_bound(ExternalLineSpec(photon_lines=2)) == 2
-    assert singularity_bound(ExternalLineSpec(fermion_lines=2, photon_lines=1)) == 0
-    assert singularity_bound(ExternalLineSpec(fermion_lines=1, photon_lines=1)) == 1
-    assert singularity_bound(ExternalLineSpec(fermion_lines=2, derivatives=1)) == 0
-    with pytest.raises(ValueError):
-        ExternalLineSpec(fermion_lines=-1)
 
 
 def test_scaling_degree_estimate_on_powers():

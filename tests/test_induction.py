@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from causalqed import induction
-from causalqed.grassmann import reorder_sign
 from causalqed.induction import (LatticeToy, OrderData, SeriesError,
                                  _proper_partitions, _smear_levels, build_Aprime_Rprime,
                                  extend_series, invert_series,
@@ -46,25 +45,24 @@ def test_inverse_series_neutralizes_S_up_to_order():
     from causalqed.induction import extend_series
     extend_series(data, 3)
     invert_series(data, 3)
-    # sum over splittings of {x1..xk} of sign S(X) Sbar(Y) must vanish
-    from causalqed.induction import _proper_partitions
-    from causalqed.grassmann import reorder_sign
+    # Sbar(Z) plus the sum over splittings of Z of S(X) Sbar(Y) must vanish
     for k in (2, 3):
         labels = slot_names(k)
         total = data.Sbar_at(labels)
         for X, Y in _proper_partitions(labels):
-            sign = reorder_sign(data.graded(labels), data.graded(X + Y))
-            total = total + operator_product(
-                data.S_at(X), data.Sbar_at(Y)).scaled(sign)
+            total = total + operator_product(data.S_at(X), data.Sbar_at(Y))
         scale = max(total.max_abs_coeff(), 1.0)
         assert total.chopped(1e-10, scale=scale).is_zero()
 
 
 def test_build_validates_order():
     data = make_data()
-    with pytest.raises(SeriesError):
+    with pytest.raises(SeriesError, match="order must be >= 1"):
         build_Aprime_Rprime(0, data)
-    with pytest.raises(SeriesError):
+    # order 1 has no partition, so D_1 = 0
+    assert build_Aprime_Rprime(1, data).D.is_zero()
+    # the cap is checked first: S_2 is missing here too
+    with pytest.raises(SeriesError, match="symbolic order 7 exceeds the cap 6"):
         build_Aprime_Rprime(7, data)
 
 
@@ -201,9 +199,15 @@ def test_retarded_support_check_flags_wrong_side():
     # the advanced check applied to a retarded function must fail loudly
     bad = lattice_support_check(lambda E: ret(E, 2), side="advanced")
     assert bad["leakage"] > 1e3
-    causal = lattice_support_check(lambda E: toy.commutator_hat(E, 2),
-                                   side="causal")
-    assert causal["leakage"] == 0.0
+
+
+@pytest.mark.parametrize("side", ["causal", "retard", "Advanced", ""])
+def test_support_check_rejects_an_unknown_side(side):
+    def fhat(E):
+        raise AssertionError("an unknown side must be rejected before any smearing")
+
+    with pytest.raises(ValueError, match="side must be 'retarded' or 'advanced'"):
+        lattice_support_check(fhat, side=side)
 
 
 def test_ordata_relabels_canonical_slots():
@@ -227,24 +231,19 @@ def test_linear_vertex_series_keeps_leg_parity():
 
 def _reference_invert(data, n):
     for k in range(1, n + 1):
-        labels = slot_names(k)
         total = WickPolynomial()
-        for X, Y in _proper_partitions(labels):
-            sign = reorder_sign(data.graded(labels), data.graded(X + Y))
-            total = total + operator_product(data.S_at(X), data.Sbar_at(Y)).scaled(-sign)
+        for X, Y in _proper_partitions(slot_names(k)):
+            total = total - operator_product(data.S_at(X), data.Sbar_at(Y))
         data.Sbar[k] = total
 
 
 def _reference_Aprime_Rprime(n, data):
     Z, xn = slot_names(n - 1), f"x{n}"
-    source = data.graded(Z + (xn,))
     Ap, Rp = WickPolynomial(), WickPolynomial()
     for X, Y in _proper_partitions(Z):
-        s_a = reorder_sign(source, data.graded(X + Y + (xn,)))
-        s_r = reorder_sign(source, data.graded(Y + (xn,) + X))
         SY, SbX = data.S_at(Y + (xn,)), data.Sbar_at(X)
-        Ap = Ap + operator_product(SbX, SY).scaled(s_a)
-        Rp = Rp + operator_product(SY, SbX).scaled(s_r)
+        Ap = Ap + operator_product(SbX, SY)
+        Rp = Rp + operator_product(SY, SbX)
     return Ap, Rp
 
 

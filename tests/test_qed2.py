@@ -278,14 +278,15 @@ def test_each_green_function_tabulates_its_density_once(monkeypatch):
 
 
 def test_injected_constants_shift_residuals():
-    base = build_self_energy(M)
+    # m = 1.7 tells m^2 from m and from 1, which m = 1 cannot
     d0, d1 = 0.15, -0.08
-    off = SelfEnergy(M, base.photon_mass,
-                     (base.constants[0] + d0, base.constants[1] + d1))
-    assert abs(off.shell_combination()) == pytest.approx(abs(d0 + M * d1), abs=1e-12)
-    r2 = abs(2 * M * off.a_prime_shell() + off.b(M * M)
-             + 2 * M * M * off.b_prime_shell())
-    assert r2 == pytest.approx(abs(d1), abs=1e-12)
+    for m in (M, 1.7):
+        base = build_self_energy(m)
+        off = SelfEnergy(m, base.photon_mass,
+                         (base.constants[0] + d0, base.constants[1] + d1))
+        r1, r2 = (c["residual"] for c in check_on_shell(off)["conditions"])
+        assert r1 == pytest.approx(abs(d0 + m * d1), abs=1e-12)
+        assert r2 == pytest.approx(abs(d1), abs=1e-12)
 
 
 def test_tensor_transversality_and_decomposition(vp):
