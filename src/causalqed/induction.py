@@ -97,9 +97,12 @@ def _partition_sums(Z, tail, signs, products):
     canonical slots.  products(j) returns one product per sum, one per
     entry of `signs`, with X on x1..xj, Y on the next slots and tail last.
     Each sum adds its product relabelled to X + Y + tail, times its fixed
-    sign.  The partitions are visited in `_proper_partitions` order, so
-    every key adds its float terms in the order of a per-partition loop,
-    and each size's products are dropped after their last partition.
+    sign, term by term with no polynomial built per partition: the
+    relabelling permutes the canonical slots, so no two terms of a product
+    merge or vanish.  The partitions are visited in `_proper_partitions`
+    order, so every key adds its float terms in the order of a
+    per-partition loop, and each size's products are dropped after their
+    last partition.
     """
     canonical = slot_names(len(Z) + len(tail))
     remaining = {j: math.comb(len(Z), j) for j in range(1, len(Z) + 1)}
@@ -110,7 +113,7 @@ def _partition_sums(Z, tail, signs, products):
             held[j] = products(j)
         mapping = dict(zip(canonical, X + Y + tail))
         for total, product, sign in zip(sums, held[j], signs):
-            for key, c in product.relabel(mapping)._terms.items():
+            for key, c in product._relabelled(mapping):
                 total[key] = total.get(key, 0) + sign * c
         remaining[j] -= 1
         if not remaining[j]:

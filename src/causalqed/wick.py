@@ -6,6 +6,14 @@ Coefficients stay symbolic: a monomial carries a complex prefactor and a
 multiset of factors (pairing functions, vertex tags, retarded-part
 wrappers).  Nothing here evaluates an integral; the numeric layers map
 factor tags to functions.
+
+Inside a polynomial every leg and every factor is a small int code.  Two
+process-wide tables, `_LEGS` and `_FACTORS`, intern each distinct
+`FieldLeg` and `Factor` once, in first-seen order, and map each code back
+to its object.  Codes do not follow the objects' order, so each table
+also ranks its codes, and every ordering operator sorts codes by rank.
+The tables grow with the distinct legs and factors a process meets, not
+with the number of polynomials it builds.
 """
 
 from __future__ import annotations
@@ -100,20 +108,80 @@ class _Memo(dict):
         return value
 
 
+class _Codes(dict):
+    """Intern table: maps each distinct object to a small int code, handed
+    out in first-seen order, and `items[code]` back to the object.
+
+    Codes do not follow the objects' order, so every ordering operator
+    sorts codes by `rank`: rank[code] is the object's place in `sort_key`
+    order (equal keys share a rank).  The ranks are rebuilt only when a
+    code has arrived since they were last read, so an operation interns
+    all its objects before it reads them.  Interning is not safe from two
+    threads at once.
+    """
+
+    def __init__(self, sort_key):
+        super().__init__()
+        self.items = []
+        self._sort_key = sort_key
+        self._keys = []
+        self._rank = []
+
+    def __missing__(self, obj):
+        key = self._sort_key(obj)
+        code = self[obj] = len(self.items)
+        self.items.append(obj)
+        self._keys.append(key)
+        return code
+
+    @property
+    def rank(self):
+        if len(self._rank) < len(self._keys):
+            place = {k: i for i, k in enumerate(sorted(set(self._keys)))}
+            self._rank = [place[k] for k in self._keys]
+        return self._rank
+
+
+class _LegCodes(_Codes):
+    """The leg table; `fermi[code]` says whether the leg is fermionic."""
+
+    def __init__(self):
+        super().__init__(FieldLeg.sort_key)
+        self.fermi = []
+
+    def __missing__(self, leg):
+        fermi = FIELDS[leg.field][0] == FERMI
+        code = super().__missing__(leg)
+        self.fermi.append(fermi)
+        return code
+
+
+def _factor_sort_key(f):
+    # Factor order, made total: within one arg position, numbers sort
+    # before strings instead of failing to compare
+    return f.kind, f.name, tuple((isinstance(a, str), a) for a in f.args)
+
+
+# process-wide, so equal polynomials have equal keys in every call
+_LEGS = _LegCodes()
+_FACTORS = _Codes(_factor_sort_key)
+
+
 def _normal_order(legs):
-    """Stable-sort legs into canonical order; return (sign, tuple) or None.
+    """Stable-sort leg codes by rank; return (sign, tuple) or None.
 
     Returns None when two identical fermionic legs collide (the monomial
     vanishes).  The sign is the fermionic sign of the reordering.
     """
-    keys = [leg.sort_key() for leg in legs]
-    indexed = sorted(range(len(legs)), key=keys.__getitem__)
+    rank, fermi = _LEGS.rank, _LEGS.fermi
+    if not any(map(fermi.__getitem__, legs)):
+        return 1, tuple(sorted(legs, key=rank.__getitem__))
+    indexed = sorted(range(len(legs)), key=lambda i: rank[legs[i]])
     ordered = tuple([legs[i] for i in indexed])
-    if len(set(ordered)) < len(ordered):
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b and a.grade == FERMI:
-                return None
-    return inversion_sign([i for i in indexed if legs[i].grade == FERMI]), ordered
+    if len(set(ordered)) < len(ordered) and any(
+            a == b and fermi[a] for a, b in zip(ordered, ordered[1:])):
+        return None
+    return inversion_sign([i for i in indexed if fermi[legs[i]]]), ordered
 
 
 class WickMonomial(NamedTuple):
@@ -125,20 +193,24 @@ class WickMonomial(NamedTuple):
 class WickPolynomial:
     """Finite sum of normal-ordered monomials, merged on construction.
 
-    `_terms` maps (sorted factors, normal-ordered legs) to a nonzero
-    coefficient.  Sums, scalings and filters of polynomials keep that
-    form, so they merge or filter `_terms` without normal-ordering again.
+    `_terms` maps (factor codes sorted by rank, normal-ordered leg codes)
+    to a nonzero coefficient; the codes are those of `_FACTORS` and
+    `_LEGS`.  Sums, scalings and filters of polynomials keep that form,
+    so they merge or filter `_terms` without normal-ordering again.
     """
 
     def __init__(self, monomials=()):
-        table = {}
+        coded = [(coeff, tuple(map(_FACTORS.__getitem__, factors)),
+                  tuple(map(_LEGS.__getitem__, legs))) for coeff, factors, legs in monomials]
+        frank = _FACTORS.rank
         orders = _Memo(_normal_order)  # monomials repeat few leg tuples
-        for coeff, factors, legs in monomials:
-            res = orders[tuple(legs)]
+        table = {}
+        for coeff, factors, legs in coded:
+            res = orders[legs]
             if res is None:
                 continue
             sign, ordered = res
-            key = (tuple(sorted(factors)), ordered)
+            key = (tuple(sorted(factors, key=frank.__getitem__)), ordered)
             table[key] = table.get(key, 0) + sign * coeff
         self._terms = {k: v for k, v in table.items() if v != 0}
 
@@ -149,10 +221,18 @@ class WickPolynomial:
         poly._terms = {k: c for k, c in items if c != 0}
         return poly
 
+    def _ordered(self):
+        """(factor codes, leg codes, coeff) of every term, in `terms` order."""
+        lrank, frank = _LEGS.rank, _FACTORS.rank
+        return sorted(((f, l, c) for (f, l), c in self._terms.items()),
+                      key=lambda t: (tuple(map(lrank.__getitem__, t[1])),
+                                     tuple(map(frank.__getitem__, t[0]))))
+
     @property
     def terms(self):
-        return [WickMonomial(c, f, l) for (f, l), c in sorted(
-            self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))]
+        factor, leg = _FACTORS.items.__getitem__, _LEGS.items.__getitem__
+        return [WickMonomial(c, tuple(map(factor, f)), tuple(map(leg, l)))
+                for f, l, c in self._ordered()]
 
     def __len__(self):
         return len(self._terms)
@@ -189,40 +269,73 @@ class WickPolynomial:
         return WickPolynomial._canonical((k, c) for k, c in self._terms.items() if abs(c) > cut)
 
     def relabel(self, mapping):
-        """Rename spacetime slots in legs and factor args.
+        """Rename spacetime slots in legs and factor args."""
+        table = {}
+        for key, c in self._relabelled(mapping):
+            table[key] = table.get(key, 0) + c
+        return WickPolynomial._canonical(table.items())
+
+    def _relabelled(self, mapping):
+        """(key, coeff) of every term with its slots renamed, in `_terms`
+        order and not merged.  A mapping that is injective on the slots
+        keeps distinct keys distinct and no term vanishes.
 
         A polynomial repeats few distinct legs and factors over many
-        terms, so each is renamed once per call.
+        terms, so each is renamed once per call, into one code-to-code
+        table for legs and one for factors.
         """
 
         def ren(s):
             return mapping.get(s, s)
 
-        leg = _Memo(lambda l: FieldLeg(l.field, l.character, ren(l.slot), l.index))
-        factor = _Memo(lambda f: Factor(
-            f.kind, f.name, tuple(ren(a) if isinstance(a, str) else a for a in f.args)))
-        return WickPolynomial([
-            (c, tuple(map(factor.__getitem__, factors)), tuple(map(leg.__getitem__, legs)))
-            for (factors, legs), c in self._terms.items()])
+        if not self._terms:
+            return
+        factor_tuples, leg_tuples = map(dict.fromkeys, zip(*self._terms))
+        factors, legs = _FACTORS.items, _LEGS.items
+        fmap = {}
+        for code in {c for f in factor_tuples for c in f}:
+            f = factors[code]
+            fmap[code] = _FACTORS[Factor(
+                f.kind, f.name, tuple(ren(a) if isinstance(a, str) else a for a in f.args))]
+        lmap = {}
+        for code in {c for l in leg_tuples for c in l}:
+            l = legs[code]
+            lmap[code] = _LEGS[FieldLeg(l.field, l.character, ren(l.slot), l.index)]
+        frank = _FACTORS.rank
+        for f in factor_tuples:
+            factor_tuples[f] = tuple(sorted(map(fmap.__getitem__, f), key=frank.__getitem__))
+        for l in leg_tuples:
+            leg_tuples[l] = _normal_order(tuple(map(lmap.__getitem__, l)))
+        for (f, l), c in self._terms.items():
+            res = leg_tuples[l]
+            if res is not None:
+                yield (factor_tuples[f], res[1]), res[0] * c
 
     def to_json(self) -> str:
+        def factor_row(code):
+            f = _FACTORS.items[code]
+            return [f.kind, f.name, list(f.args)]
+
+        # each distinct factor and leg is written out once and shared by rows
+        factor, leg = _Memo(factor_row), _Memo(lambda code: list(_LEGS.items[code]))
         rows = []
-        for m in self.terms:
-            c = complex(m.coeff)
+        for f, l, c in self._ordered():
+            c = complex(c)
             rows.append(
                 {
                     # + 0.0 prints a signed zero as 0.0
                     "coeff": [c.real + 0.0, c.imag + 0.0],
-                    "factors": [[f.kind, f.name, list(f.args)] for f in m.factors],
-                    "legs": [[l.field, l.character, l.slot, l.index] for l in m.legs],
+                    "factors": list(map(factor.__getitem__, f)),
+                    "legs": list(map(leg.__getitem__, l)),
                 }
             )
         return json.dumps({"terms": rows}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "WickPolynomial":
-        """Inverse of to_json; a leg of a field outside FIELDS or with a
-        character other than cre/ann raises ValueError."""
+        """Inverse of to_json; a leg of a field outside FIELDS, with a
+        character other than cre/ann, or with a slot or index that is not a
+        string raises ValueError."""
         obj = json.loads(text)
         monos = []
         for row in obj["terms"]:
@@ -234,6 +347,8 @@ class WickPolynomial:
                     raise ValueError(f"unknown field {leg.field!r}")
                 if leg.character not in (CREATION, ANNIHILATION):
                     raise ValueError(f"unknown leg character {leg.character!r}")
+                if not (isinstance(leg.slot, str) and isinstance(leg.index, str)):
+                    raise ValueError(f"leg slot and index must be strings: {leg!r}")
             monos.append(WickMonomial(coeff, factors, legs))
         return cls(monos)
 
@@ -308,31 +423,53 @@ def _matchings(ann_legs, cre_legs):
     return rec(0)
 
 
-def _contractions(legs):
-    """(pairing factors, sign, uncontracted legs) of every contraction of
-    annihilation legs of legs_a against creation legs of legs_b, for
-    legs = (legs_a, legs_b).
+def _contractions(legs_a, legs_b, pair_code):
+    """(pair-factor codes, sign, uncontracted leg codes, repeats) of the
+    contractions of annihilation legs of legs_a against creation legs of
+    legs_b, for two normal-ordered tuples of leg codes.  pair_code maps an
+    (annihilation, creation) pair of leg codes to its pairing-factor code.
 
-    The sign is the fermionic sign of the reorder that puts each
-    contracted pair side by side, in annihilation-position order, ahead of
-    the uncontracted legs.
+    The uncontracted legs come normal-ordered: those of A and of B are two
+    sorted runs, merged by one stable sort by rank.  The sign is the
+    fermionic sign of the reorder that puts each contracted pair side by
+    side, in annihilation-position order, ahead of the normal-ordered
+    uncontracted legs.  A contraction that leaves two identical fermionic
+    legs vanishes and is left out.
+
+    Matchings that differ only in which of several identical bosonic legs
+    they contract give the same factors, legs and sign; they are listed
+    once, where the first of them falls in `_matchings` order, with their
+    count as `repeats`.
     """
-    legs_a, legs_b = legs
+    legs, rank, fermi = _LEGS.items, _LEGS.rank, _LEGS.fermi
     legs_all = legs_a + legs_b
     offset = len(legs_a)
-    ann_a = [(i, leg) for i, leg in enumerate(legs_a) if leg.character == ANNIHILATION]
-    cre_b = [(offset + j, leg) for j, leg in enumerate(legs_b) if leg.character == CREATION]
-    out = []
+    ann_a = [(i, legs[c]) for i, c in enumerate(legs_a) if legs[c].character == ANNIHILATION]
+    cre_b = [(offset + j, legs[c]) for j, c in enumerate(legs_b)
+             if legs[c].character == CREATION]
+    # a stable sort of all legs, filtered, is the stable sort of the alive ones
+    merged = sorted(range(len(legs_all)), key=[rank[c] for c in legs_all].__getitem__)
+    is_fermi = list(map(fermi.__getitem__, legs_all))
+    graded = any(is_fermi)
+    out = {}
     for pairs in _matchings(ann_a, cre_b):
-        pair_factors, order = [], []
-        for (pa, la), (pb, lb) in pairs:
-            order += (pa, pb)
-            pair_factors.append(pair_factor(la, lb))
-        dead = set(order)
-        alive = [k for k in range(len(legs_all)) if k not in dead]
-        sign = inversion_sign([k for k in order + alive if legs_all[k].grade == FERMI])
-        out.append((tuple(pair_factors), sign, tuple(legs_all[k] for k in alive)))
-    return out
+        contracted = tuple(sorted([(legs_all[pa], legs_all[pb]) for (pa, _), (pb, _) in pairs]))
+        entry = out.get(contracted)
+        if entry is None:
+            order = [p for (pa, _), (pb, _) in pairs for p in (pa, pb)]
+            alive = [k for k in merged if k not in order] if pairs else merged
+            ordered = tuple([legs_all[k] for k in alive])
+            sign = 1
+            if graded:
+                if len(set(ordered)) < len(ordered) and any(
+                        a == b and fermi[a] for a, b in zip(ordered, ordered[1:])):
+                    sign = 0  # vanishes
+                else:
+                    sign = inversion_sign([k for k in order + alive if is_fermi[k]])
+            entry = out[contracted] = [tuple(map(pair_code.__getitem__, contracted)),
+                                       sign, ordered, 0]
+        entry[3] += 1
+    return [entry for entry in out.values() if entry[1]]
 
 
 def operator_product(A: WickPolynomial, B: WickPolynomial) -> WickPolynomial:
@@ -342,17 +479,27 @@ def operator_product(A: WickPolynomial, B: WickPolynomial) -> WickPolynomial:
     creation legs of B of the matching field type; every contraction
     contributes a pairing factor and a fermionic sign (`_contractions`).
     Many monomials share their legs, so the contractions are enumerated
-    once per pair of leg tuples.
+    once per pair of leg tuples.  Each matching adds sign * (ca * cb) to
+    its key, in `terms` order of A and of B and in `_matchings` order.
     """
-    out = []
-    contractions = _Memo(_contractions)
-    b_terms = B.terms
-    for ma in A.terms:
-        for mb in b_terms:
-            factors = ma.factors + mb.factors
-            for pair_factors, sign, alive in contractions[ma.legs, mb.legs]:
-                out.append((sign * ma.coeff * mb.coeff, factors + pair_factors, alive))
-    return WickPolynomial(out)
+    a_terms, b_terms = A._ordered(), B._ordered()
+    legs = _LEGS.items
+    pair_code = _Memo(lambda ab: _FACTORS[pair_factor(legs[ab[0]], legs[ab[1]])])
+    contractions = {(la, lb): _contractions(la, lb, pair_code)
+                    for la in dict.fromkeys(t[1] for t in a_terms)
+                    for lb in dict.fromkeys(t[1] for t in b_terms)}
+    frank = _FACTORS.rank  # read after every pair factor is interned
+    out = {}
+    for fa, la, ca in a_terms:
+        for fb, lb, cb in b_terms:
+            factors, cab = fa + fb, ca * cb
+            for pair_factors, sign, alive, repeats in contractions[la, lb]:
+                key = (tuple(sorted(factors + pair_factors, key=frank.__getitem__)), alive)
+                total, term = out.get(key, 0), sign * cab
+                for _ in range(repeats):  # one float addition per matching
+                    total = total + term
+                out[key] = total
+    return WickPolynomial._canonical(out.items())
 
 
 def vacuum_expectation(P: WickPolynomial) -> WickPolynomial:
